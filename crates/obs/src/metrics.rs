@@ -227,10 +227,10 @@ pub struct SeriesSample {
 
 /// Fixed-capacity ring buffer of [`SeriesSample`]s with evict-oldest
 /// semantics and an explicit dropped counter — the storage behind
-/// sampled gauges (queue depth over time, batch occupancy over time).
+/// sampled gauges (queue depth over time, in-flight over time).
 ///
-/// Push takes a short mutex; it runs on sampling paths (scheduler
-/// loop, scrape), never on the per-request hot path.
+/// Push takes a short mutex, so callers sample at a bounded rate (the
+/// serve telemetry plane pushes once per executed request).
 #[derive(Debug)]
 pub struct SeriesRing {
     capacity: usize,

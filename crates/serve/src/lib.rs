@@ -1,4 +1,4 @@
-//! # summa-serve — a batched, multi-tenant reasoning service
+//! # summa-serve — a multi-tenant reasoning service
 //!
 //! Serves the `summa_dl` / `summa_core` reasoning surface over a
 //! length-prefixed, versioned binary TCP protocol: `ping`, `subsumes`,
@@ -12,28 +12,30 @@
 //!   protocol errors, typed overload rejections.
 //! * [`snapshot`] — epoch-versioned ontology snapshots; hot-swap never
 //!   blocks in-flight queries (old generations stay alive via `Arc`).
-//! * the batching scheduler — coalesces requests that read the same
-//!   snapshot generation onto one `summa_exec` pool dispatch. Batching
-//!   changes throughput, never answers: each request runs under its
+//! * [`ops`] — the operations themselves. Each request runs under its
 //!   own private budget, tableau, and cache ([`ops::execute`]), so a
 //!   served answer is byte-identical to a direct library call.
-//! * [`server`] — admission control (bounded queue, per-tenant
+//! * [`server`] — admission control (bounded wait line, per-tenant
 //!   in-flight caps and step quotas; overload is a *typed response*,
-//!   never a disconnect) and graceful drain with exact accounting
-//!   (`accepted == completed`, always).
+//!   never a disconnect), per-connection execution under `threads`
+//!   execution slots, and graceful drain with exact accounting
+//!   (`accepted == completed`, always). Each admitted request runs on
+//!   its own connection thread as a one-cell `summa_exec::par_map`,
+//!   so the exec supervisor's retry and quarantine answer for it.
 //!
 //! A fifth, passive layer — [`telemetry`] — decomposes every served
-//! request into phase histograms (queue-wait / batch-formation /
-//! execute / serialize) keyed by op and tenant, samples queue/batch
-//! gauges into time-series rings, and tail-samples slow or errored
+//! request into phase histograms (queue-wait / execute / serialize)
+//! keyed by op and tenant, samples queue-depth and in-flight gauges
+//! into time-series rings, and tail-samples slow or errored
 //! requests into a bounded slow-query log. It is scraped over the
 //! wire via the versioned `Telemetry` op (Prometheus-style text or a
 //! Chrome-trace dump of the slow log) and never alters response
 //! bytes; disabled it costs one relaxed atomic load per request.
 //!
 //! Chaos coverage rides through the existing `summa_guard` fault
-//! plane: the server exposes `serve.accept` and `serve.batch` fault
-//! sites on its pool budget, and each request budget can arm a
+//! plane: the server's pool budget carries the `serve.accept` site and
+//! the exec supervisor's `exec.worker` / `exec.task` sites that every
+//! execution passes, and each request budget can arm a
 //! deterministic per-request plan (used by the conformance suite).
 //!
 //! No dependencies beyond the workspace.
@@ -44,8 +46,6 @@ pub mod server;
 pub mod snapshot;
 pub mod telemetry;
 pub mod wire;
-
-pub(crate) mod batch;
 
 pub mod prelude {
     pub use crate::client::Client;

@@ -1,34 +1,40 @@
 //! The TCP reasoning server: accept loop, per-connection handlers,
-//! admission control, and graceful drain.
+//! admission control, execution slots, and graceful drain.
 //!
 //! ## Admission and backpressure
 //!
-//! Every decoded request passes four gates before it is queued:
-//! draining? queue full? tenant over its in-flight cap? tenant over
-//! its step quota? Failing any gate produces a **typed**
-//! [`wire::Overload`] response on the same connection — overload is
-//! never expressed as a disconnect. Admitted requests are answered
-//! exactly once, even across injected scheduler faults (the batch
-//! layer degrades to typed engine errors, never silence).
+//! Every decoded request passes four gates: draining? tenant over its
+//! in-flight cap? tenant over its step quota? wait line full? Failing
+//! any gate produces a **typed** [`wire::Overload`] response on the
+//! same connection — overload is never expressed as a disconnect.
+//!
+//! ## Execution
+//!
+//! An admitted request runs on the connection thread that read it.
+//! The thread first waits for one of `cfg.threads` execution slots
+//! (`queue_capacity` bounds how many requests may wait), then runs the
+//! request as a one-cell [`summa_exec::par_map`] under the pool
+//! budget. One cell runs inline, with no spawn, and gets the exec
+//! supervisor's panic isolation, retries and quarantine; a cell the
+//! supervisor gives up on is answered with a typed engine error. So
+//! every admitted request is answered exactly once, by one mechanism.
 //!
 //! ## Drain accounting
 //!
-//! [`Server::shutdown`] stops the accept loop, lets the scheduler
-//! drain the queue, waits for the last admitted response to be
-//! *written*, then closes connections and joins every thread. The
-//! final [`ServeStats`] must reconcile: `accepted == completed`, and
-//! every frame ever read is accounted as completed, overload-rejected,
-//! protocol-rejected, or admin-answered.
+//! [`Server::shutdown`] stops the accept loop, waits for the last
+//! admitted response to be *written*, then closes connections and
+//! joins every thread. The final [`ServeStats`] must reconcile:
+//! `accepted == completed`, and every frame ever read is accounted as
+//! completed, overload-rejected, protocol-rejected, or admin-answered.
 
-use crate::batch::{scheduler_loop, Pending, Slot};
-use crate::ops;
+use crate::ops::{self, Executed};
 use crate::snapshot::SnapshotStore;
-use crate::telemetry::{TelemetryConfig, TelemetryPlane};
+use crate::telemetry::{PhaseNs, TelemetryConfig, TelemetryPlane};
 use crate::wire::{
-    self, Envelope, Overload, ProtoError, Request, Response, FrameError, STATUS_OVERLOADED,
-    STATUS_PROTOCOL_ERROR,
+    self, Envelope, Overload, ProtoError, Request, Response, FrameError, SERVED_CACHE,
+    SERVED_INDEX, SERVED_PROVER, STATUS_OVERLOADED, STATUS_PROTOCOL_ERROR,
 };
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -37,21 +43,19 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use summa_guard::obs::Tracer;
-use summa_guard::{Budget, FaultInjector};
+use summa_guard::{Budget, FaultInjector, Spend};
 
 /// Server tuning knobs. The defaults suit tests and small deployments;
 /// every limit is explicit so the soak/conformance suites can pin
 /// them.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
-    /// Worker threads for batch execution (the `summa_exec` pool
-    /// width). Defaults to [`summa_exec::default_threads`]
+    /// Execution slots: how many admitted requests may execute at
+    /// once. Defaults to [`summa_exec::default_threads`]
     /// (`SUMMA_THREADS` aware).
     pub threads: usize,
-    /// Maximum requests coalesced into one batch.
-    pub max_batch: usize,
-    /// Bounded queue capacity; admission beyond it is a typed
-    /// [`Overload::QueueFull`].
+    /// How many admitted requests may wait for an execution slot;
+    /// admission beyond it is a typed [`Overload::QueueFull`].
     pub queue_capacity: usize,
     /// Per-tenant in-flight cap ([`Overload::TenantBusy`] beyond it).
     pub tenant_max_pending: u64,
@@ -63,11 +67,11 @@ pub struct ServerConfig {
     /// Deterministic fault plan armed on **every request budget** as a
     /// fresh injector (`(plan, seed)`, [`FaultInjector::parse_plan`]
     /// syntax). Fresh-per-request arrival counters keep the plan's
-    /// behavior independent of batching and thread interleaving — the
+    /// behavior independent of thread interleaving — the
     /// conformance suite replays the same plan on its direct calls.
     pub request_fault_plan: Option<(String, u64)>,
-    /// Envelope for the pool/scheduler itself (carries the injector
-    /// for the `serve.accept` / `serve.batch` chaos sites; an
+    /// Envelope each request's one-cell `par_map` runs under (carries
+    /// the injector for the `serve.accept` and `exec.*` chaos sites; an
     /// unlimited default falls back to the process-global injector,
     /// so `SUMMA_FAULT_PLAN` covers the server too).
     pub pool_budget: Budget,
@@ -90,7 +94,6 @@ impl Default for ServerConfig {
     fn default() -> Self {
         ServerConfig {
             threads: summa_exec::default_threads(),
-            max_batch: 8,
             queue_capacity: 256,
             tenant_max_pending: 32,
             tenant_step_quota: None,
@@ -153,11 +156,10 @@ pub(crate) struct Counters {
     pub rejected_overload: AtomicU64,
     pub admin: AtomicU64,
     pub batches: AtomicU64,
-    pub max_batch: AtomicU64,
     pub max_queue_depth: AtomicU64,
     pub snapshot_loads: AtomicU64,
     pub accept_faults: AtomicU64,
-    pub batch_retries: AtomicU64,
+    pub retries: AtomicU64,
     pub index_hits: AtomicU64,
     pub index_misses: AtomicU64,
     pub cache_shared_hits: AtomicU64,
@@ -168,7 +170,7 @@ pub(crate) struct Counters {
 pub struct ServeStats {
     /// Frames successfully read off connections.
     pub frames: u64,
-    /// Requests admitted to the queue.
+    /// Requests admitted past every overload gate.
     pub accepted: u64,
     /// Admitted requests answered (any status, engine errors
     /// included).
@@ -176,24 +178,23 @@ pub struct ServeStats {
     /// Admitted requests whose answer degraded to a typed engine
     /// error (subset of `completed`).
     pub engine_errors: u64,
-    /// Frames answered with a typed protocol error without queueing.
+    /// Frames answered with a typed protocol error without admission.
     pub rejected_protocol: u64,
     /// Requests answered with a typed overload rejection.
     pub rejected_overload: u64,
     /// Admin requests (stats, snapshot loads) answered inline.
     pub admin: u64,
-    /// Batches executed.
+    /// Executions run: one per admitted request.
     pub batches: u64,
-    /// Largest batch coalesced.
-    pub max_batch: u64,
-    /// High-water queue depth observed at admission.
+    /// High-water count of requests waiting for an execution slot,
+    /// observed at admission.
     pub max_queue_depth: u64,
     /// Snapshots installed over the wire.
     pub snapshot_loads: u64,
     /// Connections dropped by the `serve.accept` chaos site.
     pub accept_faults: u64,
-    /// `serve.batch` fault retries.
-    pub batch_retries: u64,
+    /// Panicked execution attempts the exec supervisor retried.
+    pub retries: u64,
     /// Requests answered straight from a snapshot's precomputed
     /// [`HierarchyIndex`](summa_dl::index::HierarchyIndex) (subset of
     /// `completed`).
@@ -226,11 +227,10 @@ impl ServeStats {
             ("rejected_overload".into(), self.rejected_overload),
             ("admin".into(), self.admin),
             ("batches".into(), self.batches),
-            ("max_batch".into(), self.max_batch),
             ("max_queue_depth".into(), self.max_queue_depth),
             ("snapshot_loads".into(), self.snapshot_loads),
             ("accept_faults".into(), self.accept_faults),
-            ("batch_retries".into(), self.batch_retries),
+            ("retries".into(), self.retries),
             ("index_hits".into(), self.index_hits),
             ("index_misses".into(), self.index_misses),
             ("cache_shared_hits".into(), self.cache_shared_hits),
@@ -238,16 +238,23 @@ impl ServeStats {
     }
 }
 
-/// State shared between the accept loop, connection handlers, and the
-/// scheduler.
+/// The execution-slot gate: admitted requests wait here until fewer
+/// than `cfg.threads` are running.
+#[derive(Default)]
+pub(crate) struct Slots {
+    waiting: usize,
+    running: usize,
+}
+
+/// State shared between the accept loop and the connection handlers.
 pub(crate) struct Shared {
     pub cfg: ServerConfig,
-    /// `cfg.warm_eligible()`, resolved once at startup — the batch
-    /// workers branch on this per request.
+    /// `cfg.warm_eligible()`, resolved once at startup — every
+    /// execution branches on this.
     pub warm: bool,
     pub store: SnapshotStore,
-    pub queue: Mutex<VecDeque<Pending>>,
-    pub queue_cv: Condvar,
+    pub slots: Mutex<Slots>,
+    pub slot_freed: Condvar,
     pub tenants: Mutex<BTreeMap<String, TenantLedger>>,
     pub counters: Counters,
     /// Admitted requests whose response has not been written yet.
@@ -275,11 +282,10 @@ impl Shared {
             rejected_overload: c.rejected_overload.load(Ordering::Relaxed),
             admin: c.admin.load(Ordering::Relaxed),
             batches: c.batches.load(Ordering::Relaxed),
-            max_batch: c.max_batch.load(Ordering::Relaxed),
             max_queue_depth: c.max_queue_depth.load(Ordering::Relaxed),
             snapshot_loads: c.snapshot_loads.load(Ordering::Relaxed),
             accept_faults: c.accept_faults.load(Ordering::Relaxed),
-            batch_retries: c.batch_retries.load(Ordering::Relaxed),
+            retries: c.retries.load(Ordering::Relaxed),
             index_hits: c.index_hits.load(Ordering::Relaxed),
             index_misses: c.index_misses.load(Ordering::Relaxed),
             cache_shared_hits: c.cache_shared_hits.load(Ordering::Relaxed),
@@ -292,7 +298,6 @@ pub struct Server {
     addr: SocketAddr,
     shared: Arc<Shared>,
     accept_handle: Option<JoinHandle<()>>,
-    sched_handle: Option<JoinHandle<()>>,
     conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
@@ -319,8 +324,8 @@ impl Server {
             warm,
             store,
             telemetry,
-            queue: Mutex::new(VecDeque::new()),
-            queue_cv: Condvar::new(),
+            slots: Mutex::new(Slots::default()),
+            slot_freed: Condvar::new(),
             tenants: Mutex::new(BTreeMap::new()),
             counters: Counters::default(),
             in_flight: AtomicU64::new(0),
@@ -330,11 +335,6 @@ impl Server {
             conns: Mutex::new(Vec::new()),
         });
         let conn_handles: Arc<Mutex<Vec<JoinHandle<()>>>> = Arc::new(Mutex::new(Vec::new()));
-
-        let sched_shared = Arc::clone(&shared);
-        let sched_handle = std::thread::Builder::new()
-            .name("serve-sched".into())
-            .spawn(move || scheduler_loop(sched_shared))?;
 
         let accept_shared = Arc::clone(&shared);
         let accept_conns = Arc::clone(&conn_handles);
@@ -346,7 +346,6 @@ impl Server {
             addr,
             shared,
             accept_handle: Some(accept_handle),
-            sched_handle: Some(sched_handle),
             conn_handles,
         })
     }
@@ -387,29 +386,14 @@ impl Server {
         if let Some(h) = self.accept_handle.take() {
             let _ = h.join();
         }
-        // Let the scheduler drain the queue and the handlers write the
-        // last admitted responses.
+        // Let the handlers execute and write the last admitted
+        // responses.
         let deadline = Instant::now() + Duration::from_secs(30);
-        loop {
-            let queue_empty = self
-                .shared
-                .queue
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .is_empty();
-            if queue_empty && self.shared.in_flight.load(Ordering::SeqCst) == 0 {
-                break;
-            }
-            self.shared.queue_cv.notify_all();
+        while self.shared.in_flight.load(Ordering::SeqCst) != 0 {
             if Instant::now() > deadline {
                 break; // degraded exit; reconciliation will flag it
             }
             std::thread::sleep(Duration::from_millis(1));
-        }
-        // Scheduler: queue is empty and draining is set → exits.
-        self.shared.queue_cv.notify_all();
-        if let Some(h) = self.sched_handle.take() {
-            let _ = h.join();
         }
         // Unblock handler reads; clients already got every response.
         for conn in self
@@ -438,7 +422,7 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.accept_handle.is_some() || self.sched_handle.is_some() {
+        if self.accept_handle.is_some() {
             let _ = self.shutdown_inner();
         }
     }
@@ -554,8 +538,8 @@ fn reject_protocol(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64, e: Pro
         elapsed_ns: 0,
         trace_id: shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
         epoch: 0,
-        served: wire::SERVED_PROVER,
-        spend: summa_guard::Spend::default(),
+        served: SERVED_PROVER,
+        spend: Spend::default(),
         body: wire::protocol_error_body(&e),
     };
     let _ = send(stream, &resp);
@@ -573,8 +557,8 @@ fn reject_overload(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64, o: Ove
         elapsed_ns: 0,
         trace_id: shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
         epoch: 0,
-        served: wire::SERVED_PROVER,
-        spend: summa_guard::Spend::default(),
+        served: SERVED_PROVER,
+        spend: Spend::default(),
         body: wire::overload_body(o, detail),
     };
     let _ = send(stream, &resp);
@@ -586,8 +570,8 @@ fn reject_overload(shared: &Arc<Shared>, stream: &mut TcpStream, id: u64, o: Ove
 fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool {
     match &env.request {
         // Admin surface: answered inline from server state, bypassing
-        // the queue (stats must work *during* overload, and loads must
-        // not contend with the batches reading current snapshots).
+        // admission (stats must work *during* overload, and loads must
+        // not wait behind the requests reading current snapshots).
         Request::Stats => {
             shared.counters.admin.fetch_add(1, Ordering::Relaxed);
             let entries = shared.stats().entries();
@@ -608,8 +592,8 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 elapsed_ns: 0,
                 trace_id: shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
                 epoch: 0,
-                served: wire::SERVED_PROVER,
-                spend: summa_guard::Spend::default(),
+                served: SERVED_PROVER,
+                spend: Spend::default(),
                 body,
             };
             send(stream, &resp)
@@ -651,8 +635,8 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 elapsed_ns: 0,
                 trace_id: shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1,
                 epoch: 0,
-                served: wire::SERVED_PROVER,
-                spend: summa_guard::Spend::default(),
+                served: SERVED_PROVER,
+                spend: Spend::default(),
                 body,
             };
             send(stream, &resp)
@@ -683,13 +667,7 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 reject_overload(shared, stream, env.id, Overload::Draining, "server draining");
                 return true;
             }
-            let key = env
-                .request
-                .snapshot_name()
-                .and_then(|n| shared.store.get(n))
-                .map(|s| (s.fingerprint, s.epoch));
-            let op = env.request.op();
-            {
+            let (tenant_tel, admitted_at, start_ns) = {
                 let mut tenants = shared
                     .tenants
                     .lock()
@@ -719,25 +697,28 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                         return true;
                     }
                 }
-                // Queue admission under the tenants lock so pending++
-                // and the queue push stay consistent.
-                let mut q = shared.queue.lock().unwrap_or_else(PoisonError::into_inner);
-                if q.len() >= shared.cfg.queue_capacity {
-                    drop(q);
-                    drop(tenants);
-                    reject_overload(
-                        shared,
-                        stream,
-                        env.id,
-                        Overload::QueueFull,
-                        "request queue at capacity",
-                    );
-                    return true;
-                }
+                // Join the wait line under the tenants lock so pending++
+                // and waiting++ stay consistent.
+                let depth = {
+                    let mut slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
+                    if slots.waiting >= shared.cfg.queue_capacity {
+                        drop(slots);
+                        drop(tenants);
+                        reject_overload(
+                            shared,
+                            stream,
+                            env.id,
+                            Overload::QueueFull,
+                            "request queue at capacity",
+                        );
+                        return true;
+                    }
+                    slots.waiting += 1;
+                    slots.waiting as u64
+                };
                 ledger.pending += 1;
                 shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
                 shared.in_flight.fetch_add(1, Ordering::SeqCst);
-                let depth = (q.len() + 1) as u64;
                 shared
                     .counters
                     .max_queue_depth
@@ -746,37 +727,157 @@ fn dispatch(shared: &Arc<Shared>, stream: &mut TcpStream, env: Envelope) -> bool
                 // Telemetry handle resolution piggybacks on this
                 // already-locked admission section; when disabled the
                 // cost is one relaxed load.
-                let telemetry_on = shared.telemetry.enabled();
-                let tenant_tel = telemetry_on.then(|| shared.telemetry.tenant(&env.tenant));
-                let tenant_name = telemetry_on.then(|| env.tenant.clone());
-                let admitted_at = Instant::now();
-                let start_ns = shared.telemetry.now_ns();
+                let tenant_tel = shared
+                    .telemetry
+                    .enabled()
+                    .then(|| shared.telemetry.tenant(&env.tenant));
                 shared.telemetry.queue_depth_set(depth as i64);
                 shared.telemetry.in_flight_add(1);
-                let slot = Arc::new(Slot::new());
-                q.push_back(Pending {
-                    env,
-                    key,
-                    slot: Arc::clone(&slot),
-                    enqueued: admitted_at,
-                });
-                drop(q);
-                drop(tenants);
-                shared.queue_cv.notify_all();
-                let (resp, mut phases) = slot.wait();
-                let ser_t0 = Instant::now();
-                let ok = send(stream, &resp);
-                shared.in_flight.fetch_sub(1, Ordering::SeqCst);
-                shared.telemetry.in_flight_add(-1);
-                if let (Some(tel), Some(tenant)) = (tenant_tel, tenant_name) {
-                    phases.serialize_ns = ser_t0.elapsed().as_nanos() as u64;
-                    let total_ns = admitted_at.elapsed().as_nanos() as u64;
-                    shared
-                        .telemetry
-                        .observe_request(&tel, &tenant, op, &resp, phases, start_ns, total_ns);
-                }
-                ok
+                (tenant_tel, Instant::now(), shared.telemetry.now_ns())
+            };
+            let (resp, mut phases) = run_admitted(shared, &env, admitted_at);
+            let ser_t0 = Instant::now();
+            let ok = send(stream, &resp);
+            shared.in_flight.fetch_sub(1, Ordering::SeqCst);
+            shared.telemetry.in_flight_add(-1);
+            if let Some(tel) = tenant_tel {
+                phases.serialize_ns = ser_t0.elapsed().as_nanos() as u64;
+                let total_ns = admitted_at.elapsed().as_nanos() as u64;
+                shared.telemetry.observe_request(
+                    &tel,
+                    &env.tenant,
+                    env.request.op(),
+                    &resp,
+                    phases,
+                    start_ns,
+                    total_ns,
+                );
             }
+            ok
         }
     }
+}
+
+/// Run one admitted request on the calling connection thread: wait for
+/// an execution slot, execute the request as a one-cell `par_map`
+/// under the pool budget, free the slot, and do the per-answer
+/// accounting (tenant ledger, counters, served attribution) exactly
+/// once. The accounting happens before the response is written, so a
+/// client's next request never meets its own stale in-flight count.
+fn run_admitted(shared: &Shared, env: &Envelope, admitted_at: Instant) -> (Response, PhaseNs) {
+    let waiting = {
+        let mut slots = shared.slots.lock().unwrap_or_else(PoisonError::into_inner);
+        while slots.running >= shared.cfg.threads.max(1) {
+            slots = shared
+                .slot_freed
+                .wait(slots)
+                .unwrap_or_else(PoisonError::into_inner);
+        }
+        slots.waiting -= 1;
+        slots.running += 1;
+        slots.waiting
+    };
+    shared.telemetry.sample_gauges(waiting);
+    let queue_wait_ns = admitted_at.elapsed().as_nanos() as u64;
+    let trace_id = shared.next_trace.fetch_add(1, Ordering::Relaxed) + 1;
+
+    let t0 = Instant::now();
+    let outcome = {
+        let _span = shared
+            .tracer
+            .span("serve.request")
+            .with("op", env.request.op().name())
+            .with("trace_id", trace_id)
+            .with("tenant", env.tenant.as_str());
+        // One cell runs inline; the pool envelope is charged one step
+        // and the request executes under its own private budget.
+        summa_exec::par_map(
+            std::slice::from_ref(env),
+            &shared.cfg.pool_budget,
+            1,
+            |meter, _, env: &Envelope| {
+                meter.charge(1)?;
+                let rb = shared.cfg.request_budget();
+                Ok(if shared.warm {
+                    ops::execute_warm(&shared.store, &env.request, &rb)
+                } else {
+                    ops::execute(&shared.store, &env.request, &rb)
+                })
+            },
+        )
+    };
+    let execute_ns = t0.elapsed().as_nanos() as u64;
+    shared
+        .slots
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .running -= 1;
+    shared.slot_freed.notify_one();
+    shared.tracer.record_ns("serve.request.ns", execute_ns);
+
+    shared.counters.batches.fetch_add(1, Ordering::Relaxed);
+    shared
+        .counters
+        .retries
+        .fetch_add(outcome.spend.retries, Ordering::Relaxed);
+    // A cell the supervisor quarantined (or a pool-level interrupt)
+    // left no result: answer it with a typed engine error.
+    let ex = outcome
+        .results
+        .into_iter()
+        .next()
+        .flatten()
+        .unwrap_or_else(|| Executed {
+            status: wire::STATUS_ENGINE_ERROR,
+            body: wire::engine_error_body("request execution failed after retries"),
+            epoch: 0,
+            served: SERVED_PROVER,
+            spend: Spend::default(),
+        });
+    if ex.status == wire::STATUS_ENGINE_ERROR {
+        shared.counters.engine_errors.fetch_add(1, Ordering::Relaxed);
+        shared.tracer.add("serve.engine_error", 1);
+    }
+    match ex.served {
+        SERVED_INDEX => {
+            shared.counters.index_hits.fetch_add(1, Ordering::Relaxed);
+        }
+        SERVED_CACHE => {
+            // A warm request the index could not answer alone: an
+            // index miss, with any shared-cache replays attributed.
+            shared.counters.index_misses.fetch_add(1, Ordering::Relaxed);
+            shared
+                .counters
+                .cache_shared_hits
+                .fetch_add(ex.spend.cache_hits, Ordering::Relaxed);
+        }
+        _ => {}
+    }
+    shared.telemetry.note_served(ex.served, ex.spend.cache_hits);
+    shared.counters.completed.fetch_add(1, Ordering::Relaxed);
+    if let Some(t) = shared
+        .tenants
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .get_mut(&env.tenant)
+    {
+        t.pending = t.pending.saturating_sub(1);
+        t.consumed_steps = t.consumed_steps.saturating_add(ex.spend.steps);
+    }
+    let resp = Response {
+        id: env.id,
+        status: ex.status,
+        elapsed_ns: execute_ns,
+        trace_id,
+        epoch: ex.epoch,
+        served: ex.served,
+        spend: ex.spend,
+        body: ex.body,
+    };
+    let phases = PhaseNs {
+        queue_wait_ns,
+        execute_ns,
+        serialize_ns: 0,
+    };
+    (resp, phases)
 }

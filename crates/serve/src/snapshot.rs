@@ -2,14 +2,14 @@
 //! answers against, hot-swappable without blocking in-flight queries.
 //!
 //! A [`Snapshot`] is immutable once installed: a name, the parsed
-//! [`TBox`], its [`Vocabulary`], the TBox fingerprint (the batching
-//! key), and the store **epoch** at install time. The store maps names
-//! to `Arc<Snapshot>`; a reload builds the new snapshot entirely
-//! off-lock, then swaps the `Arc` under a short write lock. Queries
-//! that resolved the old `Arc` keep reasoning against it — the old
-//! snapshot is freed when its last in-flight batch drops it. The epoch
-//! travels in every response header, so a client can tell which
-//! generation of an ontology answered.
+//! [`TBox`], its [`Vocabulary`], the TBox fingerprint, and the store
+//! **epoch** at install time. The store maps names to `Arc<Snapshot>`;
+//! a reload builds the new snapshot entirely off-lock, then swaps the
+//! `Arc` under a short write lock. Queries that resolved the old `Arc`
+//! keep reasoning against it — the old snapshot is freed when its last
+//! in-flight request drops it. The epoch travels in every response
+//! header, so a client can tell which generation of an ontology
+//! answered.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,8 +54,8 @@ pub struct Snapshot {
     pub name: String,
     /// Store epoch at install time; strictly increases across installs.
     pub epoch: u64,
-    /// [`tbox_fingerprint`] of the TBox — requests against the same
-    /// fingerprint+epoch are batchable.
+    /// [`tbox_fingerprint`] of the TBox; with the epoch it keys the
+    /// snapshot's shared warm state.
     pub fingerprint: u64,
     pub tbox: TBox,
     pub voc: Vocabulary,

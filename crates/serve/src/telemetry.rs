@@ -9,14 +9,14 @@
 //!
 //! * **Disabled costs one relaxed load.** Every write entry point
 //!   checks [`TelemetryPlane::enabled`] first and returns.
-//! * **Enabled writes are lock-free on the hot path.** Histogram and
+//! * **Enabled writes are almost all plain atomics.** Histogram and
 //!   gauge handles are resolved once — per-op/per-phase handles at
 //!   plane construction, per-tenant handles at admission (where the
-//!   tenant ledger lock is already held) — so the per-request path is
-//!   plain atomics. The only locks are at admission (piggybacking on
-//!   existing locks), in the slow-query log (taken only for requests
-//!   that already tripped tail sampling), and in the scheduler's
-//!   once-per-batch ring sampling.
+//!   tenant ledger lock is already held). The only locks are at
+//!   admission (piggybacking on existing locks), in the slow-query log
+//!   (taken only for requests that already tripped tail sampling), and
+//!   in the once-per-execution ring sampling (one short mutex per
+//!   ring).
 //! * **Response bytes are untouched.** The plane observes `Response`
 //!   values after they are built; it never feeds back into bodies.
 //!
@@ -65,10 +65,8 @@ const ALL_OPS: [Op; NUM_OPS] = [
 /// The phases a served request decomposes into.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Phase {
-    /// Admission to the scheduler popping it off the queue.
+    /// Admission to taking an execution slot.
     QueueWait,
-    /// Greedy batch coalescing (shared by every request in the batch).
-    BatchForm,
     /// [`crate::ops::execute`] under the request's private budget.
     Execute,
     /// Encoding + writing the response frame.
@@ -76,18 +74,12 @@ pub enum Phase {
 }
 
 /// Phases in pipeline order.
-pub const PHASES: [Phase; 4] = [
-    Phase::QueueWait,
-    Phase::BatchForm,
-    Phase::Execute,
-    Phase::Serialize,
-];
+pub const PHASES: [Phase; 3] = [Phase::QueueWait, Phase::Execute, Phase::Serialize];
 
 impl Phase {
     pub fn name(self) -> &'static str {
         match self {
             Phase::QueueWait => "queue_wait",
-            Phase::BatchForm => "batch_form",
             Phase::Execute => "execute",
             Phase::Serialize => "serialize",
         }
@@ -96,19 +88,16 @@ impl Phase {
     fn index(self) -> usize {
         match self {
             Phase::QueueWait => 0,
-            Phase::BatchForm => 1,
-            Phase::Execute => 2,
-            Phase::Serialize => 3,
+            Phase::Execute => 1,
+            Phase::Serialize => 2,
         }
     }
 }
 
-/// Per-request phase durations, threaded from the scheduler through
-/// the response slot to the connection handler.
+/// Per-request phase durations, measured on the connection thread.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PhaseNs {
     pub queue_wait_ns: u64,
-    pub batch_form_ns: u64,
     pub execute_ns: u64,
     pub serialize_ns: u64,
 }
@@ -117,7 +106,6 @@ impl PhaseNs {
     fn get(&self, p: Phase) -> u64 {
         match p {
             Phase::QueueWait => self.queue_wait_ns,
-            Phase::BatchForm => self.batch_form_ns,
             Phase::Execute => self.execute_ns,
             Phase::Serialize => self.serialize_ns,
         }
@@ -233,15 +221,14 @@ pub struct TelemetryPlane {
     /// The long-lived obs registry backing all named instruments.
     registry: Registry,
     /// `[op][phase]` histogram handles, resolved at construction.
-    phase_hist: Vec<[Arc<Histogram>; 4]>,
-    /// Current-value gauges (queue depth, in-flight, batch occupancy).
+    phase_hist: Vec<[Arc<Histogram>; PHASES.len()]>,
+    /// Current-value gauges (requests waiting for an execution slot,
+    /// in-flight).
     queue_depth: Arc<Gauge>,
     in_flight: Arc<Gauge>,
-    batch_occupancy: Arc<Gauge>,
-    /// Time series behind the gauges, sampled once per batch.
+    /// Time series behind the gauges, sampled once per execution.
     queue_depth_ring: SeriesRing,
     in_flight_ring: SeriesRing,
-    batch_occupancy_ring: SeriesRing,
     /// Warm-path attribution counters, resolved at construction and
     /// exported through the registry loop as
     /// `summa_serve_index_hit_total`, `summa_serve_index_miss_total`,
@@ -261,7 +248,7 @@ pub struct TelemetryPlane {
 impl TelemetryPlane {
     pub fn new(cfg: TelemetryConfig) -> TelemetryPlane {
         let registry = Registry::new();
-        let phase_hist: Vec<[Arc<Histogram>; 4]> = ALL_OPS
+        let phase_hist: Vec<[Arc<Histogram>; PHASES.len()]> = ALL_OPS
             .iter()
             .map(|op| {
                 std::array::from_fn(|pi| {
@@ -271,7 +258,6 @@ impl TelemetryPlane {
             .collect();
         let queue_depth = registry.gauge("serve.queue_depth");
         let in_flight = registry.gauge("serve.in_flight");
-        let batch_occupancy = registry.gauge("serve.batch_occupancy");
         let index_hit = registry.counter("serve.index.hit");
         let index_miss = registry.counter("serve.index.miss");
         let cache_shared_hit = registry.counter("serve.cache.shared_hit");
@@ -285,13 +271,11 @@ impl TelemetryPlane {
             origin: Instant::now(),
             queue_depth,
             in_flight,
-            batch_occupancy,
             index_hit,
             index_miss,
             cache_shared_hit,
             queue_depth_ring: SeriesRing::new(cfg.ring_capacity),
             in_flight_ring: SeriesRing::new(cfg.ring_capacity),
-            batch_occupancy_ring: SeriesRing::new(cfg.ring_capacity),
             tenants: Mutex::new(tenants),
             slow_log: Mutex::new(VecDeque::new()),
             slow_triggered: AtomicU64::new(0),
@@ -343,7 +327,7 @@ impl TelemetryPlane {
         t
     }
 
-    /// Gauge mutators for the admission/scheduler paths. All check the
+    /// Gauge mutators for the admission/execution paths. All check the
     /// enabled gate themselves so call sites stay unconditional.
     pub fn queue_depth_set(&self, depth: i64) {
         if self.enabled() {
@@ -378,18 +362,17 @@ impl TelemetryPlane {
         }
     }
 
-    /// Once-per-batch sampling: update the batch-occupancy gauge and
-    /// push all three gauge values into their time-series rings.
-    pub fn sample_batch(&self, batch_size: usize, queue_depth: usize) {
+    /// Once-per-execution sampling, as a request takes its execution
+    /// slot: set the queue-depth gauge to the requests still waiting
+    /// and push both gauge values into their time-series rings.
+    pub fn sample_gauges(&self, queue_depth: usize) {
         if !self.enabled() {
             return;
         }
         let t_ns = self.now_ns();
-        self.batch_occupancy.set(batch_size as i64);
         self.queue_depth.set(queue_depth as i64);
         self.queue_depth_ring.push(t_ns, queue_depth as i64);
         self.in_flight_ring.push(t_ns, self.in_flight.get());
-        self.batch_occupancy_ring.push(t_ns, batch_size as i64);
     }
 
     /// Record one answered request: phase histograms (by op), total
@@ -528,7 +511,7 @@ impl TelemetryPlane {
         for (name, help, gauge, ring) in [
             (
                 "summa_serve_queue_depth",
-                "Bounded request queue depth.",
+                "Admitted requests waiting for an execution slot.",
                 &self.queue_depth,
                 &self.queue_depth_ring,
             ),
@@ -537,12 +520,6 @@ impl TelemetryPlane {
                 "Admitted requests not yet answered.",
                 &self.in_flight,
                 &self.in_flight_ring,
-            ),
-            (
-                "summa_serve_batch_occupancy",
-                "Size of the most recent batch.",
-                &self.batch_occupancy,
-                &self.batch_occupancy_ring,
             ),
         ] {
             e.gauge(name, help, &[], gauge.get());
@@ -702,7 +679,6 @@ impl TelemetryPlane {
         for (name, ring) in [
             ("queue_depth", &self.queue_depth_ring),
             ("in_flight", &self.in_flight_ring),
-            ("batch_occupancy", &self.batch_occupancy_ring),
         ] {
             for s in ring.samples() {
                 events.push(format!(
@@ -760,7 +736,7 @@ mod tests {
         });
         let t = p.tenant("t0");
         p.observe_request(&t, "t0", Op::Ping, &ok_resp(1), PhaseNs::default(), 0, 10);
-        p.sample_batch(4, 2);
+        p.sample_gauges(2);
         assert_eq!(p.recorded_requests(), 0);
         assert_eq!(p.slow_log_counts(), (0, 0, 0));
         assert!(p.queue_depth_ring.is_empty());
@@ -860,14 +836,13 @@ mod tests {
             &ok_resp(7),
             PhaseNs {
                 queue_wait_ns: 100,
-                batch_form_ns: 50,
                 execute_ns: 900,
                 serialize_ns: 30,
             },
             10,
-            1_080,
+            1_030,
         );
-        p.sample_batch(3, 1);
+        p.sample_gauges(1);
         let stats = ServeStats::default();
         let text = p.prometheus_text(&stats);
         validate_exposition(&text).expect("exposition lints clean");

@@ -15,6 +15,12 @@ SUMMA_THREADS=1 cargo test -q
 echo "==> SUMMA_THREADS=4 cargo test -q"
 SUMMA_THREADS=4 cargo test -q
 
+# Serving benchmark: a standalone package (its own workspace) that
+# drives the server through its public API. Its unit tests build it,
+# so an API change that breaks the benchmark fails here.
+echo "==> cargo test --offline --manifest-path servebench/Cargo.toml"
+cargo test --offline --manifest-path servebench/Cargo.toml
+
 # Trace lane: the observability suite must hold with the process-global
 # tracer enabled too, and the example must emit a Chrome trace that the
 # dependency-free validator accepts (it errors on empty traceEvents).
@@ -69,7 +75,7 @@ cargo run -q -p summa-obs --example validate_json -- \
     BENCH_tableau.json bench generated_at workloads
 echo "    BENCH_tableau.json: valid"
 
-# Serving soak lane: N concurrent tenants against the batched reasoning
+# Serving soak lane: N concurrent tenants against the reasoning
 # server — zero dropped requests, bounded queue depth, typed overload
 # rejections, and a drain-under-load whose accounting reconciles
 # exactly. The telemetry phase arms tail sampling, scrapes the
@@ -94,10 +100,9 @@ cargo run -q -p summa-obs --example validate_json -- \
     target/telemetry_slowlog.json traceEvents
 echo "    telemetry_serve.prom + telemetry_slowlog.json: valid"
 
-# Serve bench smoke: batched vs unbatched scheduling plus cold vs warm
-# serving over real loopback TCP; the validator gates the report format
-# (including the warm-path speedup field — the 5x acceptance assert
-# itself only arms on non-smoke runs).
+# Serve bench smoke: cold vs warm serving over real loopback TCP; the
+# validator gates the report format (including the warm-path speedup
+# field — the 5x acceptance assert itself only arms on non-smoke runs).
 echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench serve"
 SUMMA_BENCH_SMOKE=1 cargo bench --bench serve
 cargo run -q -p summa-obs --example validate_json -- \

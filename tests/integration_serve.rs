@@ -4,9 +4,9 @@
 //! 1 and at 4 worker threads, with and without a fixed per-request
 //! fault plan. Plus: overload is a typed response (never a
 //! disconnect), snapshot hot-swap bumps epochs without breaking
-//! in-flight conformance, and the server's `serve.accept` /
-//! `serve.batch` chaos sites degrade to typed answers, never to
-//! dropped requests.
+//! in-flight conformance, and the server's `serve.accept` chaos site
+//! and the exec supervisor's `exec.task` site degrade to typed
+//! answers, never to dropped requests.
 
 use std::sync::Arc;
 use summa_guard::{Budget, FaultInjector};
@@ -22,7 +22,7 @@ use summa_serve::wire::{
 /// The fixed chaos plan the conformance runs replay on both sides.
 /// Each request executes under a **fresh** injector (fresh arrival
 /// counters), so the plan's firing pattern is a pure function of the
-/// request — independent of batching, thread count, and transport.
+/// request — independent of thread count and transport.
 const FAULT_PLAN: &str = "dl.cache.insert@3=trip;dl.realize.individual@1=trip";
 const FAULT_SEED: u64 = 1405;
 
@@ -84,7 +84,6 @@ fn workload() -> Vec<Request> {
 fn config(threads: usize, plan: Option<&str>) -> ServerConfig {
     ServerConfig {
         threads,
-        max_batch: 4,
         request_fault_plan: plan.map(|p| (p.to_string(), FAULT_SEED)),
         ..ServerConfig::default()
     }
@@ -175,8 +174,8 @@ fn fault_plan_is_observable_and_conformant() {
 }
 
 /// Four concurrent tenants replay the full workload; every answer from
-/// every interleaving must match the single baseline, and the batch
-/// scheduler must actually coalesce.
+/// every interleaving must match the single baseline, and every
+/// admitted request must be counted as an execution.
 #[test]
 fn concurrent_tenants_conform_and_batch() {
     let cfg = config(4, None);
@@ -349,29 +348,38 @@ fn step_quota_depletes_across_requests() {
     assert!(server.shutdown().reconciles());
 }
 
-/// A transient `serve.batch` fault is retried and the answers are
-/// unaffected; a persistent one degrades every request in the batch to
-/// a typed engine error — admitted work is never silently dropped.
+/// A transient `exec.task` fault on the pool budget is retried by the
+/// exec supervisor and the answer is unaffected; a persistent one
+/// quarantines the request's cell, which is answered with a typed
+/// engine error — admitted work is never silently dropped.
 #[test]
 fn batch_faults_retry_then_degrade_to_typed_errors() {
-    // One panic at the first batch gate: retry absorbs it.
-    let injector = FaultInjector::parse_plan("serve.batch@1=panic", 0).expect("plan");
+    // One panic at the first execution attempt: retry absorbs it.
+    let injector = FaultInjector::parse_plan("exec.task@1=panic", 0).expect("plan");
     let server = Server::start(ServerConfig {
         pool_budget: Budget::unlimited().with_injector(Arc::new(injector)),
         ..ServerConfig::default()
     })
     .expect("server starts");
     let mut client = Client::connect(server.addr(), "t").expect("connects");
-    let resp = client.ping().expect("answered");
+    let req = Request::Subsumes {
+        snapshot: "vehicles".into(),
+        sub: "car".into(),
+        sup: "motorvehicle".into(),
+    };
+    let resp = client.call(req.clone()).expect("answered");
     assert_eq!(resp.status, STATUS_OK);
+    let cfg = ServerConfig::default();
+    let want = ops::execute(&SnapshotStore::with_builtins(), &req, &cfg.request_budget());
+    assert_eq!(resp.body, want.body, "a retried answer is unchanged");
     drop(client);
     let stats = server.shutdown();
-    assert!(stats.batch_retries >= 1, "{stats:?}");
+    assert!(stats.retries >= 1, "{stats:?}");
     assert!(stats.reconciles());
 
     // Panics at all three attempts: typed engine error, exact books.
     let injector = FaultInjector::parse_plan(
-        "serve.batch@1=panic;serve.batch@2=panic;serve.batch@3=panic",
+        "exec.task@1=panic;exec.task@2=panic;exec.task@3=panic",
         0,
     )
     .expect("plan");
@@ -383,7 +391,7 @@ fn batch_faults_retry_then_degrade_to_typed_errors() {
     let mut client = Client::connect(server.addr(), "t").expect("connects");
     let resp = client.ping().expect("answered, not dropped");
     assert_eq!(resp.status, STATUS_ENGINE_ERROR);
-    // Later batches see a spent plan and succeed.
+    // Later requests see a spent plan and succeed.
     let resp = client.ping().expect("answered");
     assert_eq!(resp.status, STATUS_OK);
     drop(client);

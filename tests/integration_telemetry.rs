@@ -14,7 +14,7 @@
 //! connection.
 
 use summa_obs::export::validate_chrome_trace;
-use summa_obs::validate_exposition;
+use summa_obs::{validate_exposition, AttrValue, Tracer};
 use summa_serve::client::Client;
 use summa_serve::ops::{self, Executed};
 use summa_serve::server::{Server, ServerConfig};
@@ -74,7 +74,6 @@ fn workload() -> Vec<Request> {
 fn config(threads: usize, telemetry: TelemetryConfig) -> ServerConfig {
     ServerConfig {
         threads,
-        max_batch: 4,
         request_fault_plan: Some((FAULT_PLAN.to_string(), FAULT_SEED)),
         telemetry,
         ..ServerConfig::default()
@@ -289,4 +288,58 @@ fn per_tenant_attribution_reconciles() {
     let stats = server.shutdown();
     assert!(stats.reconciles());
     assert_eq!(stats.completed, 10);
+}
+
+/// On a traced server, each response header's `trace_id` names exactly
+/// one `serve.request` span, and that span carries the request's
+/// tenant and op — so a request can be followed from its frame to the
+/// reasoning it ran.
+#[test]
+fn trace_ids_name_exactly_one_request_span() {
+    let tracer = Tracer::enabled();
+    let server = Server::start(ServerConfig {
+        threads: 2,
+        tracer: tracer.clone(),
+        ..ServerConfig::default()
+    })
+    .expect("server starts");
+    let addr = server.addr();
+    let handles: Vec<_> = ["alpha", "beta"]
+        .into_iter()
+        .map(|tenant| {
+            std::thread::spawn(move || {
+                let mut client = Client::connect(addr, tenant).expect("connects");
+                workload()
+                    .into_iter()
+                    .map(|req| {
+                        let resp = client.call(req.clone()).expect("answered");
+                        (resp.trace_id, tenant, req.op().name())
+                    })
+                    .collect::<Vec<_>>()
+            })
+        })
+        .collect();
+    let answered: Vec<(u64, &str, &str)> = handles
+        .into_iter()
+        .flat_map(|h| h.join().expect("tenant thread"))
+        .collect();
+    let stats = server.shutdown();
+    assert!(stats.reconciles(), "{stats:?}");
+
+    let spans: Vec<_> = tracer
+        .snapshot()
+        .spans
+        .into_iter()
+        .filter(|s| s.name == "serve.request")
+        .collect();
+    assert_eq!(spans.len(), answered.len(), "one span per admitted request");
+    for (trace_id, tenant, op) in answered {
+        let hits: Vec<_> = spans
+            .iter()
+            .filter(|s| s.attrs.contains(&("trace_id", AttrValue::U64(trace_id))))
+            .collect();
+        assert_eq!(hits.len(), 1, "trace_id {trace_id} names one span");
+        assert!(hits[0].attrs.contains(&("tenant", AttrValue::Str(tenant.into()))));
+        assert!(hits[0].attrs.contains(&("op", AttrValue::Str(op.into()))));
+    }
 }

@@ -93,7 +93,6 @@ fn assert_warm_conformance(threads: usize) {
     // stays warm even under a tier-1 `SUMMA_SERVE_COLD=1` lane.
     let cfg = ServerConfig {
         threads,
-        max_batch: 4,
         cold: false,
         ..ServerConfig::default()
     };
