@@ -193,7 +193,7 @@ fn main() {
         caveat,
         entries.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_parallel.json");
-    std::fs::write(path, &json).expect("write BENCH_parallel.json");
-    println!("\nwrote {path}");
+    let path = summa_bench::report_path("parallel");
+    std::fs::write(&path, &json).expect("write BENCH_parallel.json");
+    println!("\nwrote {}", path.display());
 }

@@ -21,10 +21,12 @@
 //!
 //! `SUMMA_BENCH_SMOKE=1` shrinks the measurement window to one sample
 //! per lane so CI can validate the report format without paying for a
-//! full measurement; the counter assertions are exact either way.
+//! full measurement; the counter assertions are exact either way. The
+//! smoke report goes to `target/`, not the root.
 
 use criterion::{json_escape, Criterion};
 use std::fmt::Write as _;
+use summa_bench::smoke;
 use summa_dl::concept::{Concept, Vocabulary};
 use summa_dl::generate;
 use summa_dl::tableau::Tableau;
@@ -92,10 +94,6 @@ fn workloads() -> Vec<Workload> {
             queries: d_queries,
         },
     ]
-}
-
-fn smoke() -> bool {
-    std::env::var("SUMMA_BENCH_SMOKE").is_ok_and(|v| v == "1")
 }
 
 /// One instrumented pass of a workload through one engine: fresh
@@ -251,7 +249,7 @@ fn main() {
         caveat,
         entries.join(",\n"),
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_tableau.json");
-    std::fs::write(path, &json).expect("write BENCH_tableau.json");
-    println!("\nwrote {path}");
+    let path = summa_bench::report_path("tableau");
+    std::fs::write(&path, &json).expect("write BENCH_tableau.json");
+    println!("\nwrote {}", path.display());
 }

@@ -15,6 +15,25 @@ pub fn banner(experiment: &str, paper_artifact: &str) {
     println!("\n=== {experiment} — reproduces: {paper_artifact} ===");
 }
 
+/// Is this a smoke run (`SUMMA_BENCH_SMOKE=1`)? Smoke runs shrink the
+/// measurement window so CI can exercise a bench's assertions and
+/// report format cheaply; their wall-time figures are placeholders.
+pub fn smoke() -> bool {
+    std::env::var("SUMMA_BENCH_SMOKE").is_ok_and(|v| v == "1")
+}
+
+/// Where a report-writing bench puts `BENCH_<name>.json`: the
+/// workspace root on full runs (the committed reports the docs cite),
+/// `target/` on smoke runs, so a smoke run never overwrites a
+/// committed report with placeholder figures. Creates `target/` when
+/// it does not exist yet.
+pub fn report_path(name: &str) -> std::path::PathBuf {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if smoke() { root.join("target") } else { root };
+    std::fs::create_dir_all(&dir).expect("create the report directory");
+    dir.join(format!("BENCH_{name}.json"))
+}
+
 /// Standard sweep sizes for scaling experiments.
 pub const SWEEP_SMALL: &[usize] = &[2, 4, 6];
 /// Larger sweep for polynomial-cost experiments.
@@ -58,6 +77,14 @@ mod tests {
     fn sweeps_are_increasing() {
         assert!(super::SWEEP_SMALL.windows(2).all(|w| w[0] < w[1]));
         assert!(super::SWEEP_MEDIUM.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    #[test]
+    fn report_path_names_the_bench_report() {
+        let path = super::report_path("unit");
+        assert!(path.ends_with("BENCH_unit.json"));
+        let dir = path.parent().expect("report has a directory");
+        assert_eq!(dir.ends_with("target"), super::smoke());
     }
 
     #[test]

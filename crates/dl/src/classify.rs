@@ -1,8 +1,7 @@
 //! Classification: computing the full subsumption hierarchy over the
 //! named concepts of a TBox.
 
-use crate::cache::{tbox_fingerprint, SatCache};
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointState, ResumeOutcome};
+use crate::cache::SatCache;
 use crate::concept::{Concept, ConceptId, Vocabulary};
 use crate::el::ElClassifier;
 use crate::error::Result;
@@ -359,71 +358,16 @@ pub fn classify_enhanced_governed(
     tbox: &TBox,
     budget: &Budget,
 ) -> (Governed<ClassHierarchy>, ClassifyStats) {
-    let run = classify_enhanced_checkpointed(reasoner, tbox, budget, None);
-    (run.governed, run.stats)
-}
-
-/// The outcome of a resumable classification run: the governed
-/// hierarchy, this run's stats (resumed rows cost nothing again), a
-/// [`Checkpoint`] when the run was interrupted with progress worth
-/// keeping, and how the run started.
-#[derive(Debug)]
-pub struct ClassifyRun {
-    pub governed: Governed<ClassHierarchy>,
-    /// Work done by *this* run only — rows restored from a checkpoint
-    /// are not re-counted.
-    pub stats: ClassifyStats,
-    /// Emitted on exhaustion/cancellation when at least one row is
-    /// decided; `None` on completion (nothing left to resume).
-    pub checkpoint: Option<Checkpoint>,
-    pub resume: ResumeOutcome,
-}
-
-/// [`classify_enhanced_governed`] with checkpoint/resume: pass the
-/// bytes of a previously emitted [`Checkpoint`] to skip its completed
-/// rows, and receive a fresh checkpoint when this run is interrupted
-/// in turn. A checkpoint that fails validation (corruption, wrong
-/// TBox, foreign bytes, future version) degrades to a clean restart —
-/// recorded in [`ClassifyRun::resume`] — never to a poisoned resume.
-///
-/// Soundness of resume: checkpoints only ever contain *fully decided*
-/// rows, and every row is computed independently, so (resumed rows) ∪
-/// (rows computed now) is exactly the hierarchy an uninterrupted run
-/// produces — byte-identical, as the chaos differential suite checks.
-pub fn classify_enhanced_checkpointed(
-    reasoner: &mut Tableau,
-    tbox: &TBox,
-    budget: &Budget,
-    resume: Option<&[u8]>,
-) -> ClassifyRun {
-    let fingerprint = tbox_fingerprint(tbox);
     let told = ToldIndex::build(tbox);
     let n = told.atoms.len();
-    let (mut subsumers, resume_outcome) = match resume {
-        None => (BTreeMap::new(), ResumeOutcome::Fresh),
-        Some(bytes) => match restore_classification(bytes, fingerprint, &told) {
-            Ok(rows) => {
-                let restored = rows.len();
-                (rows, ResumeOutcome::Resumed { restored })
-            }
-            Err(why) => (BTreeMap::new(), ResumeOutcome::Restarted { why }),
-        },
-    };
     let mut meter = budget.meter();
     let mut span = meter
         .span("dl.classify")
         .with("atoms", n)
         .with("strategy", "enhanced");
-    if let ResumeOutcome::Resumed { restored } = &resume_outcome {
-        span.record("resumed_rows", *restored as u64);
-        meter.count("dl.classify.resumed_rows", *restored as u64);
-    }
+    let mut subsumers = BTreeMap::new();
     let mut stats = ClassifyStats::default();
     for i in 0..n {
-        // Rows restored from the checkpoint are already exact.
-        if subsumers.contains_key(&told.atoms[i]) {
-            continue;
-        }
         match classify_row(reasoner, &mut meter, &told, i) {
             Ok((set, row_stats)) => {
                 stats.absorb(row_stats);
@@ -433,68 +377,16 @@ pub fn classify_enhanced_checkpointed(
             // is then exact, and absent concepts are simply undecided.
             Err(interrupt) => {
                 span.record("interrupted", true);
-                let checkpoint = (!subsumers.is_empty()).then(|| Checkpoint {
-                    fingerprint,
-                    state: CheckpointState::Classification(subsumers.clone()),
-                });
-                return ClassifyRun {
-                    governed: Governed::from_interrupt(
-                        interrupt,
-                        Some(ClassHierarchy { subsumers }),
-                    ),
+                return (
+                    Governed::from_interrupt(interrupt, Some(ClassHierarchy { subsumers })),
                     stats,
-                    checkpoint,
-                    resume: resume_outcome,
-                };
+                );
             }
         }
     }
     span.record("sat_tests", stats.sat_tests);
     span.record("pruned", stats.pruned);
-    ClassifyRun {
-        governed: Governed::Completed(ClassHierarchy { subsumers }),
-        stats,
-        checkpoint: None,
-        resume: resume_outcome,
-    }
-}
-
-/// Resume classification from checkpoint bytes (see
-/// [`classify_enhanced_checkpointed`]).
-pub fn classify_resume_from(
-    reasoner: &mut Tableau,
-    tbox: &TBox,
-    budget: &Budget,
-    bytes: &[u8],
-) -> ClassifyRun {
-    classify_enhanced_checkpointed(reasoner, tbox, budget, Some(bytes))
-}
-
-/// Validate checkpoint bytes against this TBox and return the
-/// restorable rows: decode, checksum, fingerprint, and a structural
-/// check that every mentioned concept is actually a named concept of
-/// the TBox (a stale checkpoint of a renamed ontology must not smuggle
-/// unknown ids into the hierarchy).
-fn restore_classification(
-    bytes: &[u8],
-    fingerprint: u64,
-    told: &ToldIndex,
-) -> std::result::Result<BTreeMap<ConceptId, BTreeSet<ConceptId>>, CheckpointError> {
-    let ckp = Checkpoint::from_bytes_for(bytes, fingerprint)?;
-    let CheckpointState::Classification(rows) = ckp.state else {
-        return Err(CheckpointError::Malformed(
-            "not a classification checkpoint",
-        ));
-    };
-    let known: BTreeSet<ConceptId> = told.atoms.iter().copied().collect();
-    for (c, set) in &rows {
-        if !known.contains(c) || !set.iter().all(|s| known.contains(s)) {
-            return Err(CheckpointError::Malformed(
-                "checkpoint mentions concepts outside the TBox",
-            ));
-        }
-    }
-    Ok(rows)
+    (Governed::Completed(ClassHierarchy { subsumers }), stats)
 }
 
 /// The classical O(n²) grid: one subsumption test per (sub, sup) pair,

@@ -7,7 +7,6 @@
 //! standard completion rules (CR1–CR5 of the CEL calculus), yielding
 //! all atom–atom subsumptions in polynomial time.
 
-use crate::checkpoint::{Checkpoint, CheckpointError, CheckpointState};
 use crate::concept::{Concept, ConceptId, RoleId, Vocabulary};
 use crate::error::{DlError, Result};
 use crate::tbox::TBox;
@@ -44,8 +43,8 @@ pub struct ElClassifier {
     /// Saturated subsumer sets `S(X)`, filled by [`ElClassifier::saturate`].
     subsumers: Vec<BTreeSet<Atom>>,
     /// Derived role edges `R(r)` as adjacency: `(x, r)` → set of `y`.
-    /// Persisted alongside `subsumers` so an interrupted saturation can
-    /// checkpoint and resume without losing CR3's work.
+    /// Kept alongside `subsumers` so a saturation interrupted by its
+    /// budget continues on the next call without losing CR3's work.
     edges: BTreeMap<(Atom, RoleId), BTreeSet<Atom>>,
     saturated: bool,
 }
@@ -175,11 +174,11 @@ impl ElClassifier {
             .span("dl.el.saturate")
             .with("atoms", self.n_atoms as u64);
         let n = self.n_atoms as usize;
-        // Start from the persisted partial state when one exists (an
-        // earlier interrupted run, or a restored checkpoint); seed
-        // fresh otherwise. The completion rules are monotone, so
-        // re-deriving from any sound under-approximation reaches the
-        // same fixpoint an uninterrupted run does.
+        // Start from the partial state an earlier interrupted run left
+        // behind when one exists; seed fresh otherwise. The completion
+        // rules are monotone, so re-deriving from any sound
+        // under-approximation reaches the same fixpoint an
+        // uninterrupted run does.
         if self.subsumers.len() != n {
             self.subsumers = (0..n)
                 .map(|i| {
@@ -211,8 +210,8 @@ impl ElClassifier {
 
         // Work queue of (x, added atom) plus edge queue, seeded from
         // every currently known fact: on a fresh start this is exactly
-        // the classic (x, x)/(x, ⊤) seeding; on resume it replays the
-        // checkpointed facts through the rules, which only ever adds
+        // the classic (x, x)/(x, ⊤) seeding; on continuation it replays
+        // the kept facts through the rules, which only ever adds
         // entailed consequences.
         let mut queue: VecDeque<(Atom, Atom)> = s
             .iter()
@@ -299,72 +298,12 @@ impl ElClassifier {
             break Ok(());
         };
         // Keep whatever was proved — complete on Ok, a sound partial
-        // under-approximation on interrupt. Edges persist alongside so
-        // a later resume (or checkpoint) loses none of CR3's work.
+        // under-approximation on interrupt. Edges are kept alongside so
+        // the next call continues without losing any of CR3's work.
         self.subsumers = s;
         self.edges = edges;
         self.saturated = outcome.is_ok();
         outcome
-    }
-
-    /// Snapshot the current (possibly partial) saturation state as a
-    /// [`Checkpoint`] bound to `fingerprint` (the
-    /// [`tbox_fingerprint`](crate::cache::tbox_fingerprint) of the
-    /// TBox this classifier was built from). Atom numbering is
-    /// deterministic for a given TBox, so a fresh classifier over the
-    /// same TBox can [`resume_from`](Self::resume_from) it.
-    pub fn checkpoint(&self, fingerprint: u64) -> Checkpoint {
-        Checkpoint {
-            fingerprint,
-            state: CheckpointState::ElSaturation {
-                subsumers: self.subsumers.clone(),
-                edges: self
-                    .edges
-                    .iter()
-                    .map(|(&(x, r), ys)| ((x, r.0), ys.clone()))
-                    .collect(),
-            },
-        }
-    }
-
-    /// Restore a partial saturation from checkpoint bytes. Rejects
-    /// corrupt images, wrong fingerprints, and state whose shape does
-    /// not match this classifier's atom space; on success the next
-    /// [`saturate_metered`](Self::saturate_metered) continues from the
-    /// restored facts instead of starting over. Returns the number of
-    /// subsumption facts restored.
-    pub fn resume_from(
-        &mut self,
-        bytes: &[u8],
-        fingerprint: u64,
-    ) -> std::result::Result<usize, CheckpointError> {
-        let ckp = Checkpoint::from_bytes_for(bytes, fingerprint)?;
-        let CheckpointState::ElSaturation { subsumers, edges } = ckp.state else {
-            return Err(CheckpointError::Malformed("not an EL checkpoint"));
-        };
-        if subsumers.len() != self.n_atoms as usize {
-            return Err(CheckpointError::Malformed(
-                "checkpoint atom count does not match this TBox",
-            ));
-        }
-        let in_range = |a: &Atom| *a < self.n_atoms;
-        if !subsumers.iter().all(|set| set.iter().all(in_range))
-            || !edges
-                .iter()
-                .all(|(&(x, _), ys)| in_range(&x) && ys.iter().all(in_range))
-        {
-            return Err(CheckpointError::Malformed(
-                "checkpoint mentions atoms outside this TBox",
-            ));
-        }
-        let restored = subsumers.iter().map(BTreeSet::len).sum();
-        self.subsumers = subsumers;
-        self.edges = edges
-            .into_iter()
-            .map(|((x, r), ys)| ((x, RoleId(r)), ys))
-            .collect();
-        self.saturated = false;
-        Ok(restored)
     }
 
     /// Named-concept subsumer sets read off the *current* saturation

@@ -47,7 +47,6 @@
 
 pub mod abox;
 pub mod cache;
-pub mod checkpoint;
 pub mod classify;
 pub mod concept;
 pub mod corpus;
@@ -66,14 +65,9 @@ pub mod tbox;
 pub mod prelude {
     pub use crate::abox::{ABox, Individual};
     pub use crate::cache::{tbox_fingerprint, CacheStats, SatCache};
-    pub use crate::checkpoint::{
-        abox_fingerprint, kb_fingerprint, Checkpoint, CheckpointError, CheckpointState,
-        ResumeOutcome,
-    };
     pub use crate::classify::{
-        classify_brute_force_governed, classify_enhanced_checkpointed, classify_enhanced_governed,
-        classify_parallel_governed, classify_parallel_governed_with, classify_resume_from,
-        ClassHierarchy, ClassifyRun, ClassifyStats, Classifier,
+        classify_brute_force_governed, classify_enhanced_governed, classify_parallel_governed,
+        classify_parallel_governed_with, ClassHierarchy, Classifier, ClassifyStats,
     };
     pub use crate::concept::{CNode, Concept, ConceptId, ConceptRef, Interner, RoleId, Vocabulary};
     pub use crate::corpus::{animals_tbox, animals_tbox_repaired, vehicles_tbox, PaperVocab};
@@ -82,9 +76,8 @@ pub mod prelude {
     pub use crate::index::HierarchyIndex;
     pub use crate::parser::{parse_axiom, parse_concept};
     pub use crate::realize::{
-        realize, realize_checkpointed, realize_governed, realize_parallel_governed,
-        realize_parallel_governed_indexed, realize_parallel_governed_with, realize_resume_from,
-        Realization, RealizeRun,
+        realize, realize_governed, realize_parallel_governed, realize_parallel_governed_indexed,
+        Realization,
     };
     pub use crate::tableau::Tableau;
     pub use crate::tbox::{Axiom, TBox};

@@ -10,12 +10,14 @@
 //! this set of names, nothing more.
 
 use crate::abox::{ABox, Individual};
-use crate::checkpoint::{kb_fingerprint, Checkpoint, CheckpointError, CheckpointState, ResumeOutcome};
+use crate::cache::SatCache;
 use crate::concept::{Concept, ConceptId, Vocabulary};
 use crate::error::Result;
+use crate::index::HierarchyIndex;
 use crate::tableau::Tableau;
 use crate::tbox::TBox;
 use std::collections::{BTreeMap, BTreeSet};
+use std::sync::Arc;
 use summa_guard::{Budget, Governed, Interrupt, Meter};
 
 /// The realization of an ABox: per individual, all entailed named
@@ -74,46 +76,11 @@ impl Realization {
     }
 }
 
-/// Realize an ABox against a TBox with the tableau reasoner.
+/// Realize an ABox against a TBox with the tableau reasoner: the
+/// unlimited-budget [`realize_governed`].
 pub fn realize(tbox: &TBox, abox: &ABox, voc: &Vocabulary) -> Result<Realization> {
-    let mut reasoner = Tableau::new(tbox, voc);
-    // Candidate types: every named concept of the vocabulary (the
-    // TBox's atoms are a subset; ABox-only names count too).
-    let atoms: Vec<ConceptId> = voc.concepts().collect();
-    let mut types: BTreeMap<Individual, BTreeSet<ConceptId>> = BTreeMap::new();
-    for ind in abox.individuals() {
-        let mut set = BTreeSet::new();
-        for &c in &atoms {
-            // KB ⊨ C(a) iff KB ∪ {¬C(a)} inconsistent — via the
-            // scratch-assertion instance check, not an ABox clone per
-            // (individual, atom) pair.
-            if reasoner.try_is_instance(abox, ind, &Concept::atom(c))? {
-                set.insert(c);
-            }
-        }
-        types.insert(ind, set);
-    }
-    // Most specific: drop any type that strictly subsumes another held
-    // type.
-    let mut most_specific = BTreeMap::new();
-    for (&ind, set) in &types {
-        let mut specific = BTreeSet::new();
-        for &c in set {
-            let dominated = set.iter().any(|&d| {
-                d != c
-                    && reasoner.subsumes(&Concept::atom(c), &Concept::atom(d))
-                    && !reasoner.subsumes(&Concept::atom(d), &Concept::atom(c))
-            });
-            if !dominated {
-                specific.insert(c);
-            }
-        }
-        most_specific.insert(ind, specific);
-    }
-    Ok(Realization {
-        types,
-        most_specific,
-    })
+    Ok(realize_governed(tbox, abox, voc, &Budget::unlimited())
+        .expect_completed("unlimited budget cannot interrupt"))
 }
 
 /// Budget-governed realization: one envelope bounds every entailment
@@ -127,149 +94,37 @@ pub fn realize_governed(
     voc: &Vocabulary,
     budget: &Budget,
 ) -> Governed<Realization> {
-    realize_checkpointed(tbox, abox, voc, budget, None).governed
-}
-
-/// The outcome of a resumable realization run: the governed
-/// [`Realization`], a [`Checkpoint`] when interrupted with progress
-/// worth keeping, and how the run started.
-#[derive(Debug)]
-pub struct RealizeRun {
-    pub governed: Governed<Realization>,
-    /// Emitted on exhaustion/cancellation when at least one individual
-    /// is fully realized; `None` on completion.
-    pub checkpoint: Option<Checkpoint>,
-    pub resume: ResumeOutcome,
-}
-
-/// [`realize_governed`] with checkpoint/resume. The checkpoint is
-/// bound to the *joint* (TBox, ABox) fingerprint — realization depends
-/// on both boxes, so a checkpoint taken against either a different
-/// TBox or a different ABox is rejected and the run restarts cleanly.
-///
-/// Resume soundness mirrors classification: checkpoints hold fully
-/// realized individuals only, each realized independently, so resumed
-/// ∪ fresh rows equal an uninterrupted run byte-for-byte.
-pub fn realize_checkpointed(
-    tbox: &TBox,
-    abox: &ABox,
-    voc: &Vocabulary,
-    budget: &Budget,
-    resume: Option<&[u8]>,
-) -> RealizeRun {
-    let fingerprint = kb_fingerprint(tbox, abox);
-    let (mut types, mut most_specific, resume_outcome) = match resume {
-        None => (BTreeMap::new(), BTreeMap::new(), ResumeOutcome::Fresh),
-        Some(bytes) => match restore_realization(bytes, fingerprint, abox) {
-            Ok((t, m)) => {
-                let restored = t.len();
-                (t, m, ResumeOutcome::Resumed { restored })
-            }
-            Err(why) => (
-                BTreeMap::new(),
-                BTreeMap::new(),
-                ResumeOutcome::Restarted { why },
-            ),
-        },
-    };
     let mut reasoner = Tableau::new(tbox, voc);
+    // Candidate types: every named concept of the vocabulary (the
+    // TBox's atoms are a subset; ABox-only names count too).
+    let atoms: Vec<ConceptId> = voc.concepts().collect();
     let mut meter = budget.meter();
     let mut span = meter
         .span("dl.realize")
         .with("individuals", abox.individuals().count());
-    if let ResumeOutcome::Resumed { restored } = &resume_outcome {
-        span.record("resumed_individuals", *restored as u64);
-        meter.count("dl.realize.resumed_individuals", *restored as u64);
-    }
-    match realize_metered(
-        tbox,
-        abox,
-        voc,
-        &mut reasoner,
-        &mut meter,
-        &mut types,
-        &mut most_specific,
-    ) {
-        Ok(()) => RealizeRun {
-            governed: Governed::Completed(Realization {
-                types,
-                most_specific,
-            }),
-            checkpoint: None,
-            resume: resume_outcome,
-        },
-        Err(i) => {
-            span.record("interrupted", true);
-            let checkpoint = (!types.is_empty()).then(|| Checkpoint {
-                fingerprint,
-                state: CheckpointState::Realization {
-                    types: types.clone(),
-                    most_specific: most_specific.clone(),
-                },
-            });
-            RealizeRun {
-                governed: Governed::from_interrupt(
-                    i,
-                    Some(Realization {
-                        types,
-                        most_specific,
-                    }),
-                ),
-                checkpoint,
-                resume: resume_outcome,
+    let mut out = Realization {
+        types: BTreeMap::new(),
+        most_specific: BTreeMap::new(),
+    };
+    for ind in abox.individuals() {
+        match realize_individual(&mut reasoner, &mut meter, abox, ind, &atoms, None) {
+            Ok((set, specific)) => {
+                out.types.insert(ind, set);
+                out.most_specific.insert(ind, specific);
+            }
+            Err(i) => {
+                span.record("interrupted", true);
+                return Governed::from_interrupt(i, Some(out));
             }
         }
     }
-}
-
-/// Resume realization from checkpoint bytes (see
-/// [`realize_checkpointed`]).
-pub fn realize_resume_from(
-    tbox: &TBox,
-    abox: &ABox,
-    voc: &Vocabulary,
-    budget: &Budget,
-    bytes: &[u8],
-) -> RealizeRun {
-    realize_checkpointed(tbox, abox, voc, budget, Some(bytes))
-}
-
-/// Validate realization checkpoint bytes: decode, checksum,
-/// fingerprint, and require every mentioned individual to exist in the
-/// ABox being resumed.
-#[allow(clippy::type_complexity)]
-fn restore_realization(
-    bytes: &[u8],
-    fingerprint: u64,
-    abox: &ABox,
-) -> std::result::Result<
-    (
-        BTreeMap<Individual, BTreeSet<ConceptId>>,
-        BTreeMap<Individual, BTreeSet<ConceptId>>,
-    ),
-    CheckpointError,
-> {
-    let ckp = Checkpoint::from_bytes_for(bytes, fingerprint)?;
-    let CheckpointState::Realization {
-        types,
-        most_specific,
-    } = ckp.state
-    else {
-        return Err(CheckpointError::Malformed("not a realization checkpoint"));
-    };
-    let known: BTreeSet<Individual> = abox.individuals().collect();
-    if !types.keys().all(|i| known.contains(i)) {
-        return Err(CheckpointError::Malformed(
-            "checkpoint mentions individuals outside the ABox",
-        ));
-    }
-    Ok((types, most_specific))
+    Governed::Completed(out)
 }
 
 /// Parallel, budget-governed realization: individuals are distributed
 /// across `threads` workers, each holding a private [`Tableau`] wired
-/// to one shared [`SatCache`](crate::cache::SatCache), under a single
-/// shared envelope. Each worker realizes *whole* individuals, so the
+/// to one shared [`SatCache`], under a single shared envelope. Each
+/// worker realizes *whole* individuals, so the
 /// partial on exhaustion only ever contains fully decided rows — the
 /// sequential [`realize_governed`] contract — and the completed result
 /// is identical to the sequential one.
@@ -280,38 +135,23 @@ pub fn realize_parallel_governed(
     budget: &Budget,
     threads: usize,
 ) -> Governed<Realization> {
-    use std::sync::Arc;
-    let cache = Arc::new(crate::cache::SatCache::new());
-    realize_parallel_governed_with(tbox, abox, voc, budget, threads, cache).0
+    let cache = Arc::new(SatCache::new());
+    realize_parallel_governed_indexed(tbox, abox, voc, budget, threads, cache, None).0
 }
 
 /// [`realize_parallel_governed`] against a caller-supplied shared
-/// [`SatCache`](crate::cache::SatCache), also returning the run's
-/// pooled [`Spend`]. Mirrors
-/// [`classify_parallel_governed_with`](crate::classify::classify_parallel_governed_with):
-/// workers tear down through a drain hook that harvests interner hits
-/// accrued after their last completed sat call — previously this path
-/// used the drain-less `par_map_with` and silently dropped them on the
-/// scope join, so a short-lived pool (one served request) under-counted
-/// `dl.intern.hits`.
-pub fn realize_parallel_governed_with(
-    tbox: &TBox,
-    abox: &ABox,
-    voc: &Vocabulary,
-    budget: &Budget,
-    threads: usize,
-    cache: std::sync::Arc<crate::cache::SatCache>,
-) -> (Governed<Realization>, summa_guard::Spend) {
-    realize_parallel_governed_indexed(tbox, abox, voc, budget, threads, cache, None)
-}
-
-/// [`realize_parallel_governed_with`] with an optional precomputed
-/// [`HierarchyIndex`]: the most-specific filtering's atom-vs-atom
-/// subsumption pairs are answered from the index (one step charged per
-/// index-answered pair, zero tableau calls) when both atoms are
-/// indexed, and proved otherwise. Because an index answer *is* the
-/// prover's answer for indexed pairs, the returned realization is
-/// identical with or without the index — only the spend differs.
+/// [`SatCache`] and an optional precomputed [`HierarchyIndex`], also
+/// returning the run's pooled [`Spend`](summa_guard::Spend). The most-specific filtering's
+/// atom-vs-atom subsumption pairs are answered from the index (one
+/// step charged per index-answered pair, zero tableau calls) when both
+/// atoms are indexed, and proved otherwise. Because an index answer
+/// *is* the prover's answer for indexed pairs, the returned
+/// realization is identical with or without the index — only the
+/// spend differs.
+///
+/// Workers tear down through a drain hook that harvests interner hits
+/// accrued after their last completed sat call, so a short-lived pool
+/// (one served request) still reports all of its `dl.intern.hits`.
 #[allow(clippy::too_many_arguments)]
 pub fn realize_parallel_governed_indexed(
     tbox: &TBox,
@@ -319,14 +159,11 @@ pub fn realize_parallel_governed_indexed(
     voc: &Vocabulary,
     budget: &Budget,
     threads: usize,
-    cache: std::sync::Arc<crate::cache::SatCache>,
-    index: Option<&crate::index::HierarchyIndex>,
+    cache: Arc<SatCache>,
+    index: Option<&HierarchyIndex>,
 ) -> (Governed<Realization>, summa_guard::Spend) {
-    use std::sync::Arc;
-
     let individuals: Vec<Individual> = abox.individuals().collect();
     let atoms: Vec<ConceptId> = voc.concepts().collect();
-    let atoms_ref = &atoms;
     let _span = budget
         .tracer()
         .span("dl.realize.parallel")
@@ -338,17 +175,7 @@ pub fn realize_parallel_governed_indexed(
         budget,
         threads,
         |_| Tableau::new(tbox, voc).with_shared_cache(Arc::clone(&cache)),
-        |reasoner, meter, _, &ind| {
-            meter.fault_point("dl.realize.individual")?;
-            let mut set = BTreeSet::new();
-            for &c in atoms_ref {
-                if reasoner.instance_metered(abox, ind, &Concept::atom(c), meter)? {
-                    set.insert(c);
-                }
-            }
-            let specific = most_specific_of_set(reasoner, meter, &set, index)?;
-            Ok((set, specific))
-        },
+        |reasoner, meter, _, &ind| realize_individual(reasoner, meter, abox, ind, &atoms, index),
         |_, mut reasoner: Tableau| {
             let d = reasoner.drain_intern_hits();
             if d > 0 {
@@ -358,20 +185,43 @@ pub fn realize_parallel_governed_indexed(
     );
     let spend = outcome.spend;
     let governed = outcome.into_governed(|slots| {
-        let mut types = BTreeMap::new();
-        let mut most_specific = BTreeMap::new();
-        for (ind, slot) in individuals.iter().zip(slots) {
+        let mut out = Realization {
+            types: BTreeMap::new(),
+            most_specific: BTreeMap::new(),
+        };
+        for (&ind, slot) in individuals.iter().zip(slots) {
             if let Some((set, specific)) = slot {
-                types.insert(*ind, set);
-                most_specific.insert(*ind, specific);
+                out.types.insert(ind, set);
+                out.most_specific.insert(ind, specific);
             }
         }
-        Some(Realization {
-            types,
-            most_specific,
-        })
+        Some(out)
     });
     (governed, spend)
+}
+
+/// Realize one individual: its entailed named types among `atoms`,
+/// then the most specific of them. Both are decided before the row is
+/// returned, so partial results never hold an unfiltered set. The
+/// sequential and parallel drivers share this body.
+fn realize_individual(
+    reasoner: &mut Tableau,
+    meter: &mut Meter,
+    abox: &ABox,
+    ind: Individual,
+    atoms: &[ConceptId],
+    index: Option<&HierarchyIndex>,
+) -> std::result::Result<(BTreeSet<ConceptId>, BTreeSet<ConceptId>), Interrupt> {
+    // Chaos-injection site, mirroring `dl.classify.row`.
+    meter.fault_point("dl.realize.individual")?;
+    let mut set = BTreeSet::new();
+    for &c in atoms {
+        if reasoner.instance_metered(abox, ind, &Concept::atom(c), meter)? {
+            set.insert(c);
+        }
+    }
+    let specific = most_specific_of_set(reasoner, meter, &set, index)?;
+    Ok((set, specific))
 }
 
 /// Filter an individual's entailed types down to the most specific
@@ -383,7 +233,7 @@ fn most_specific_of_set(
     reasoner: &mut Tableau,
     meter: &mut Meter,
     set: &BTreeSet<ConceptId>,
-    index: Option<&crate::index::HierarchyIndex>,
+    index: Option<&HierarchyIndex>,
 ) -> std::result::Result<BTreeSet<ConceptId>, Interrupt> {
     let mut specific = BTreeSet::new();
     for &c in set {
@@ -423,43 +273,6 @@ fn most_specific_of_set(
         }
     }
     Ok(specific)
-}
-
-/// The metered realization loop: fills `types` and `most_specific`
-/// one *complete* individual at a time so an interrupt leaves only
-/// fully decided rows behind.
-fn realize_metered(
-    _tbox: &TBox,
-    abox: &ABox,
-    voc: &Vocabulary,
-    reasoner: &mut Tableau,
-    meter: &mut Meter,
-    types: &mut BTreeMap<Individual, BTreeSet<ConceptId>>,
-    most_specific: &mut BTreeMap<Individual, BTreeSet<ConceptId>>,
-) -> std::result::Result<(), Interrupt> {
-    let atoms: Vec<ConceptId> = voc.concepts().collect();
-    for ind in abox.individuals() {
-        // Individuals already present were restored from a checkpoint
-        // (their rows are exact) — skip, charging nothing.
-        if types.contains_key(&ind) {
-            continue;
-        }
-        // Chaos-injection site, mirroring `dl.classify.row`.
-        meter.fault_point("dl.realize.individual")?;
-        let mut set = BTreeSet::new();
-        for &c in &atoms {
-            if reasoner.instance_metered(abox, ind, &Concept::atom(c), meter)? {
-                set.insert(c);
-            }
-        }
-        // Most specific among the entailed types, decided before the
-        // row is published so partial results never hold an
-        // unfiltered set.
-        let specific = most_specific_of_set(reasoner, meter, &set, None)?;
-        types.insert(ind, set);
-        most_specific.insert(ind, specific);
-    }
-    Ok(())
 }
 
 #[cfg(test)]

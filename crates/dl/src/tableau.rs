@@ -663,42 +663,13 @@ impl Tableau {
     /// Fallible ABox consistency.
     pub fn try_is_consistent(&mut self, abox: &ABox) -> Result<bool> {
         let mut meter = Meter::unlimited();
-        match self.consistent_inner(abox, self.budget, &mut meter) {
+        match self.consistent_inner_with(abox, None, self.budget, &mut meter) {
             Ok(sat) => Ok(sat),
             Err(Stop::NodeBudget) => Err(DlError::NodeBudgetExceeded {
                 budget: self.budget,
             }),
             Err(Stop::Interrupted(_)) => unreachable!("unlimited meter interrupted"),
         }
-    }
-
-    /// Budget-governed ABox consistency.
-    pub fn is_consistent_governed(&mut self, abox: &ABox, budget: &Budget) -> Governed<bool> {
-        let mut meter = budget.meter();
-        let r = self.consistent_metered(abox, &mut meter);
-        governed_outcome(r)
-    }
-
-    /// Metered ABox consistency, for services sharing one [`Meter`].
-    pub fn consistent_metered(
-        &mut self,
-        abox: &ABox,
-        meter: &mut Meter,
-    ) -> std::result::Result<bool, Interrupt> {
-        match self.consistent_inner(abox, usize::MAX, meter) {
-            Ok(sat) => Ok(sat),
-            Err(Stop::Interrupted(i)) => Err(i),
-            Err(Stop::NodeBudget) => unreachable!("node cap disabled in metered mode"),
-        }
-    }
-
-    fn consistent_inner(
-        &mut self,
-        abox: &ABox,
-        node_cap: usize,
-        meter: &mut Meter,
-    ) -> std::result::Result<bool, Stop> {
-        self.consistent_inner_with(abox, None, node_cap, meter)
     }
 
     /// ABox consistency with an optional *scratch assertion*: one
@@ -802,19 +773,6 @@ impl Tableau {
             Err(Stop::Interrupted(i)) => Err(i),
             Err(Stop::NodeBudget) => unreachable!("node cap disabled in metered mode"),
         }
-    }
-
-    /// Budget-governed instance check.
-    pub fn is_instance_governed(
-        &mut self,
-        abox: &ABox,
-        a: crate::abox::Individual,
-        c: &Concept,
-        budget: &Budget,
-    ) -> Governed<bool> {
-        let mut meter = budget.meter();
-        let r = self.instance_metered(abox, a, c, &mut meter);
-        governed_outcome(r)
     }
 
     // ------------------------------------------------------------------

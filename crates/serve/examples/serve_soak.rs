@@ -12,10 +12,12 @@
 //!    must see real work complete *and* then a typed
 //!    `quota_exhausted` rejection on a connection that stays alive.
 //!    Overload is never a disconnect.
-//! 3. **Drain under load** — shutdown races 4 clients mid-burst;
-//!    everything admitted before the drain flag is answered, late
-//!    arrivals get typed `draining` rejections or a clean close, and
-//!    the books still reconcile.
+//! 3. **Drain under load** — 4 clients send until the server ends
+//!    their stream; shutdown starts once every client has had an
+//!    answer. Everything admitted before the drain flag is answered,
+//!    every client stops on a typed `draining` rejection or a clean
+//!    close that came after the drain began, and the books still
+//!    reconcile.
 //! 4. **Telemetry** — tail sampling armed (zero latency threshold),
 //!    4 tenants hammer the mixed workload, then the `Telemetry` op is
 //!    scraped in both formats; both payloads must pass the library's
@@ -25,8 +27,8 @@
 //!    written to `target/telemetry_serve.prom` and
 //!    `target/telemetry_slowlog.json` for the tier-1 artifact linters.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use summa_obs::export::validate_chrome_trace;
 use summa_obs::validate_exposition;
 use summa_serve::client::Client;
@@ -172,45 +174,85 @@ fn phase_backpressure() {
 }
 
 fn phase_drain_under_load() {
+    const CLIENTS: usize = 4;
+    // A guard, not a workload size: clients send until the drain ends
+    // their stream, and one that never sees it fails loudly here.
+    const REQUEST_CAP: u64 = 5_000_000;
     let server = Server::start(ServerConfig {
         threads: 2,
         ..ServerConfig::default()
     })
     .expect("server starts");
     let addr = server.addr();
-    let handles: Vec<_> = (0..4)
+    // How many clients have had at least one answer, and whether the
+    // drain has begun (set just before `shutdown`).
+    let answered = Arc::new((Mutex::new(0usize), Condvar::new()));
+    let draining = Arc::new(AtomicBool::new(false));
+    let handles: Vec<_> = (0..CLIENTS)
         .map(|t| {
+            let answered = Arc::clone(&answered);
+            let draining = Arc::clone(&draining);
             std::thread::spawn(move || {
                 let tenant = format!("drain-{t}");
                 let mut client = Client::connect(addr, &tenant).expect("connects");
-                for _ in 0..200 {
+                let mut oks = 0u64;
+                let stop = loop {
+                    assert!(oks < REQUEST_CAP, "client {t} never saw the drain");
                     match client.subsumes("vehicles", "car", "motorvehicle") {
-                        // Served, or typed draining rejection: both fine.
-                        Ok(resp) => {
-                            assert!(
-                                resp.status == STATUS_OK || resp.status == STATUS_OVERLOADED,
-                                "unexpected status {}",
-                                resp.status
-                            );
+                        Ok(resp) if resp.status == STATUS_OK => {
+                            oks += 1;
+                            if oks == 1 {
+                                let (count, cv) = &*answered;
+                                *count.lock().expect("count lock") += 1;
+                                cv.notify_one();
+                            }
                         }
+                        Ok(resp) if resp.status == STATUS_OVERLOADED => {
+                            let (kind, _) = decode_overload(&resp.body).expect("typed body");
+                            if kind == Overload::Draining {
+                                break "rejected";
+                            }
+                            // Other overloads are transient: keep sending.
+                        }
+                        Ok(resp) => panic!("unexpected status {}", resp.status),
                         // The server closed the stream during drain.
-                        Err(_) => break,
+                        Err(_) => break "closed",
                     }
-                }
+                };
+                assert!(
+                    draining.load(Ordering::SeqCst),
+                    "client {t} was {stop} before the drain began"
+                );
+                (oks, stop)
             })
         })
         .collect();
-    // Let the burst get going, then drain out from under it.
-    std::thread::sleep(std::time::Duration::from_millis(50));
+    // Drain only once every client is mid-stream, so the drain always
+    // races live senders.
+    {
+        let (count, cv) = &*answered;
+        let mut n = count.lock().expect("count lock");
+        while *n < CLIENTS {
+            n = cv.wait(n).expect("count lock");
+        }
+    }
+    draining.store(true, Ordering::SeqCst);
     let stats = server.shutdown();
+    let (mut oks, mut rejected, mut closed) = (0, 0, 0);
     for h in handles {
-        h.join().expect("client thread");
+        let (n, stop) = h.join().expect("client thread");
+        oks += n;
+        match stop {
+            "rejected" => rejected += 1,
+            _ => closed += 1,
+        }
     }
     assert!(stats.reconciles(), "drain keeps exact books: {stats:?}");
-    assert!(stats.accepted > 0, "the burst did real work before the drain");
+    assert_eq!(stats.completed, oks, "every answer the server counted reached its client");
+    assert!(stats.rejected_overload >= rejected, "typed rejections are on the books");
     println!(
-        "  drain: {} answered mid-burst, {} typed rejections, books exact — OK",
-        stats.completed, stats.rejected_overload
+        "  drain: {oks} answered before the drain; clients stopped by {rejected} typed \
+         rejections and {closed} closed streams; books exact — OK"
     );
 }
 
@@ -243,6 +285,11 @@ fn phase_telemetry() {
                         assert_eq!(resp.status, STATUS_OK);
                     }
                 }
+                // A connection thread records a request's telemetry
+                // after writing its answer, then reads the next frame.
+                // One admin round trip (never itself recorded) therefore
+                // puts every observation of this client on the books.
+                client.stats().expect("stats answered");
             })
         })
         .collect();

@@ -33,9 +33,7 @@ use summa_dl::cache::SatCache;
 use summa_dl::classify::{classify_parallel_governed_with, ClassHierarchy};
 use summa_dl::concept::{Concept, Vocabulary};
 use summa_dl::parser::parse_concept;
-use summa_dl::realize::{
-    realize_parallel_governed_indexed, realize_parallel_governed_with, Realization,
-};
+use summa_dl::realize::{realize_parallel_governed_indexed, Realization};
 use summa_dl::tableau::Tableau;
 use summa_guard::{Budget, ExhaustionReason, Governed, Interrupt, Spend};
 
@@ -459,8 +457,9 @@ pub fn execute(store: &SnapshotStore, req: &Request, budget: &Budget) -> Execute
                 Err(e) => return Executed::proto(ProtoError::ParseError(e), snap.epoch),
             };
             let cache = Arc::new(SatCache::new());
-            let (governed, spend) =
-                realize_parallel_governed_with(&snap.tbox, &parsed, &voc, budget, 1, cache);
+            let (governed, spend) = realize_parallel_governed_indexed(
+                &snap.tbox, &parsed, &voc, budget, 1, cache, None,
+            );
             let body = governed_body(&governed, |real| realization_payload(real, &parsed, &voc));
             Executed {
                 status: STATUS_OK,

@@ -56,8 +56,8 @@ SUMMA_SERVE_COLD=1 cargo test -q -p summa-serve --test integration_warmpath
 echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench classify"
 SUMMA_BENCH_SMOKE=1 cargo bench --bench classify
 cargo run -q -p summa-obs --example validate_json -- \
-    BENCH_classify.json bench generated_at workloads
-echo "    BENCH_classify.json: valid"
+    target/BENCH_classify.json bench generated_at workloads
+echo "    target/BENCH_classify.json: valid"
 
 # Kernel lane: the tableau differential suite runs in the main sweeps
 # with the agenda/trail kernel as default; re-run it with the reference
@@ -72,8 +72,8 @@ SUMMA_TABLEAU_REFERENCE=1 SUMMA_THREADS=4 \
 echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench tableau"
 SUMMA_BENCH_SMOKE=1 cargo bench --bench tableau
 cargo run -q -p summa-obs --example validate_json -- \
-    BENCH_tableau.json bench generated_at workloads
-echo "    BENCH_tableau.json: valid"
+    target/BENCH_tableau.json bench generated_at workloads
+echo "    target/BENCH_tableau.json: valid"
 
 # Serving soak lane: N concurrent tenants against the reasoning
 # server — zero dropped requests, bounded queue depth, typed overload
@@ -106,12 +106,12 @@ echo "    telemetry_serve.prom + telemetry_slowlog.json: valid"
 echo "==> SUMMA_BENCH_SMOKE=1 cargo bench --bench serve"
 SUMMA_BENCH_SMOKE=1 cargo bench --bench serve
 cargo run -q -p summa-obs --example validate_json -- \
-    BENCH_serve.json bench generated_at warm_execute_speedup workloads
-echo "    BENCH_serve.json: valid"
+    target/BENCH_serve.json bench generated_at warm_execute_speedup workloads
+echo "    target/BENCH_serve.json: valid"
 
 if cargo clippy --version >/dev/null 2>&1; then
-    echo "==> cargo clippy --workspace -- -D warnings"
-    cargo clippy --workspace -- -D warnings
+    echo "==> cargo clippy --workspace --all-targets -- -D warnings"
+    cargo clippy --workspace --all-targets -- -D warnings
 else
     echo "==> clippy not installed; skipping lint"
 fi
