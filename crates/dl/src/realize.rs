@@ -335,6 +335,54 @@ mod tests {
     }
 
     #[test]
+    fn every_driver_shares_one_answer() {
+        let p = PaperVocab::new();
+        let t = vehicles_tbox(&p);
+        let mut abox = ABox::new();
+        let beetle = abox.individual("beetle");
+        abox.assert_concept(beetle, Concept::atom(p.car));
+        let truck = abox.individual("truck");
+        abox.assert_concept(truck, Concept::atom(p.pickup));
+        let van = abox.individual("van");
+        abox.assert_concept(van, Concept::atom(p.motorvehicle));
+        let expected = realize(&t, &abox, &p.voc).expect("realizes");
+
+        let hierarchy = crate::classify::classify_enhanced_governed(
+            &mut Tableau::new(&t, &p.voc),
+            &t,
+            &Budget::unlimited(),
+        )
+        .0
+        .expect_completed("vehicles classify");
+        let index = HierarchyIndex::build(&hierarchy).expect("vehicles are indexable");
+        for threads in [1, 3] {
+            let run = |index| {
+                realize_parallel_governed_indexed(
+                    &t,
+                    &abox,
+                    &p.voc,
+                    &Budget::unlimited(),
+                    threads,
+                    Arc::new(SatCache::new()),
+                    index,
+                )
+            };
+            let (proved, proved_spend) = run(None);
+            let (indexed, indexed_spend) = run(Some(&index));
+            assert_eq!(proved.expect_completed("unindexed"), expected);
+            assert_eq!(indexed.expect_completed("indexed"), expected);
+            // The index answers the most-specific pairs for one step
+            // each instead of two tableau sat calls.
+            assert!(
+                indexed_spend.steps < proved_spend.steps,
+                "threads={threads}: indexed {} vs proved {} steps",
+                indexed_spend.steps,
+                proved_spend.steps
+            );
+        }
+    }
+
+    #[test]
     fn render_lists_most_specific_names() {
         let p = PaperVocab::new();
         let t = vehicles_tbox(&p);

@@ -14,13 +14,18 @@
 
 use proptest::prelude::*;
 use std::sync::Arc;
+use summa_dl::abox::ABox;
 use summa_dl::cache::SatCache;
 use summa_dl::classify::{
     classify_enhanced_governed, classify_parallel_governed_with, ClassHierarchy,
 };
-use summa_dl::concept::Vocabulary;
+use summa_dl::concept::{Concept, ConceptId, Vocabulary};
 use summa_dl::el::ElClassifier;
 use summa_dl::generate;
+use summa_dl::index::HierarchyIndex;
+use summa_dl::realize::{
+    realize, realize_governed, realize_parallel_governed_indexed, Realization,
+};
 use summa_dl::tableau::Tableau;
 use summa_dl::tbox::TBox;
 use summa_exec::par_map_with_drain;
@@ -38,6 +43,37 @@ fn baseline(tbox: &TBox, voc: &Vocabulary) -> ClassHierarchy {
 fn chaos_budget(plan: &str, seed: u64) -> Budget {
     let injector = FaultInjector::parse_plan(plan, seed).expect("test plan parses");
     Budget::unlimited().with_injector(Arc::new(injector))
+}
+
+/// A small random ABox over the generated atoms, for realization runs.
+fn random_abox(atoms: &[ConceptId], n: usize, seed: u64) -> ABox {
+    let mut rng = generate::SplitMix64::new(seed);
+    let mut abox = ABox::new();
+    for i in 0..n {
+        let ind = abox.individual(&format!("i{i}"));
+        abox.assert_concept(ind, Concept::atom(atoms[rng.below(atoms.len())]));
+        if rng.chance(1, 2) {
+            abox.assert_concept(ind, Concept::atom(atoms[rng.below(atoms.len())]));
+        }
+    }
+    abox
+}
+
+/// Every individual a partial realization carries matches the
+/// baseline exactly; returns how many it carries.
+fn assert_exact_individuals(partial: &Realization, expected: &Realization, abox: &ABox) -> usize {
+    let mut decided = 0;
+    for ind in abox.individuals() {
+        if let Some(types) = partial.types_ref(ind) {
+            assert_eq!(Some(types), expected.types_ref(ind));
+            assert_eq!(
+                partial.most_specific_ref(ind),
+                expected.most_specific_ref(ind)
+            );
+            decided += 1;
+        }
+    }
+    decided
 }
 
 // ---------------------------------------------------------------------
@@ -127,6 +163,40 @@ fn repeated_panics_quarantine_and_surface_as_task_failure() {
     }
 }
 
+/// Realization rides the same supervisor: task panics in the parallel
+/// driver are retried, and the realization — with and without a
+/// hierarchy index answering the most-specific pairs — is identical
+/// to the fault-free sequential one at every thread count.
+#[test]
+fn realization_task_panics_are_invisible_in_results() {
+    let (voc, tbox, atoms) = generate::random_el(10, 2, 14, 0x4EA1);
+    let abox = random_abox(&atoms, 6, 0xAB0C);
+    let expected = realize(&tbox, &abox, &voc).expect("fault-free realization");
+    let index = HierarchyIndex::build(&baseline(&tbox, &voc)).expect("baseline is indexable");
+    for threads in [1usize, 4] {
+        for idx in [None, Some(&index)] {
+            let budget = chaos_budget("exec.task@2=panic; exec.task@5=panic", 0x4EA1);
+            let (got, spend) = realize_parallel_governed_indexed(
+                &tbox,
+                &abox,
+                &voc,
+                &budget,
+                threads,
+                Arc::new(SatCache::new()),
+                idx,
+            );
+            assert_eq!(
+                got.expect_completed("retried individuals complete"),
+                expected,
+                "threads={threads} indexed={}",
+                idx.is_some()
+            );
+            assert_eq!(spend.retries, 2, "both scheduled panics were retried");
+            assert_eq!(spend.quarantined, 0);
+        }
+    }
+}
+
 // ---------------------------------------------------------------------
 // Cache integrity: poisoned entries are detected, never served
 // ---------------------------------------------------------------------
@@ -173,6 +243,145 @@ fn poisoned_cache_entries_never_change_answers() {
     }
 }
 
+/// Realizations share the cache's integrity checks: poisoned entries
+/// written during one realization are caught when a warm re-run over
+/// the same cache reads them, and neither run's answer changes.
+#[test]
+fn poisoned_cache_entries_never_change_realizations() {
+    let (voc, tbox, atoms) = generate::random_el(12, 2, 16, 0x9015);
+    let abox = random_abox(&atoms, 6, 0x0B0E);
+    let expected = realize(&tbox, &abox, &voc).expect("fault-free realization");
+    for threads in [1usize, 4] {
+        let cache = Arc::new(SatCache::new());
+        let injector = Arc::new(
+            FaultInjector::parse_plan("dl.cache.insert@1=poison; dl.cache.insert@3=poison", 3)
+                .expect("plan parses"),
+        );
+        let budget = Budget::unlimited().with_injector(Arc::clone(&injector));
+        let (got, _) = realize_parallel_governed_indexed(
+            &tbox,
+            &abox,
+            &voc,
+            &budget,
+            threads,
+            Arc::clone(&cache),
+            None,
+        );
+        assert_eq!(
+            got.expect_completed("poisoning degrades to recompute"),
+            expected,
+            "threads={threads}"
+        );
+        assert_eq!(injector.n_fired(), 2, "both poisonings were injected");
+
+        let (again, _) = realize_parallel_governed_indexed(
+            &tbox,
+            &abox,
+            &voc,
+            &Budget::unlimited(),
+            threads,
+            Arc::clone(&cache),
+            None,
+        );
+        assert_eq!(again.expect_completed("warm re-run"), expected);
+        assert!(
+            cache.corruptions() >= 1,
+            "at least one poisoned entry was caught on read"
+        );
+    }
+}
+
+// ---------------------------------------------------------------------
+// Interrupts: starved runs publish exact prefixes, never warped rows
+// ---------------------------------------------------------------------
+
+/// Classification under escalating step budgets: every starved run
+/// publishes only exact rows, and the sweep ends in the baseline
+/// hierarchy.
+#[test]
+fn classification_under_escalating_budgets_converges_to_the_baseline() {
+    let (voc, tbox, _) = generate::random_el(14, 2, 18, 0x0C4E);
+    let expected = baseline(&tbox, &voc);
+    let mut starved_with_rows = false;
+    let mut finished = None;
+    for leg in 1..=64u64 {
+        let budget = Budget::new().with_steps(100 * leg);
+        let (got, _) = classify_enhanced_governed(&mut Tableau::new(&tbox, &voc), &tbox, &budget);
+        match got {
+            Governed::Completed(h) => {
+                finished = Some(h);
+                break;
+            }
+            Governed::Exhausted { reason, partial } => {
+                assert_eq!(reason, ExhaustionReason::Steps);
+                let partial = partial.expect("classification always carries a partial");
+                let decided: Vec<_> = partial.concepts().collect();
+                for &c in &decided {
+                    assert_eq!(partial.subsumers_ref(c), expected.subsumers_ref(c));
+                }
+                starved_with_rows |= !decided.is_empty();
+            }
+            Governed::Cancelled { .. } => panic!("nothing cancels this run"),
+        }
+    }
+    assert_eq!(
+        finished.expect("escalating budgets complete within 64 legs"),
+        expected
+    );
+    assert!(starved_with_rows, "some starved leg published decided rows");
+}
+
+/// Realization under escalating step budgets: the sequential driver
+/// publishes only fully realized individuals, and the sweep ends in
+/// exactly what plain `realize` answers.
+#[test]
+fn realization_under_escalating_budgets_converges_to_the_uninterrupted_answer() {
+    let (voc, tbox, atoms) = generate::random_el(10, 2, 14, 0x4EA1);
+    let abox = random_abox(&atoms, 6, 0xAB0C);
+    let expected = realize(&tbox, &abox, &voc).expect("fault-free realization");
+    let mut starved_with_individuals = false;
+    let mut finished = None;
+    for leg in 1..=64u64 {
+        let budget = Budget::new().with_steps(150 * leg);
+        match realize_governed(&tbox, &abox, &voc, &budget) {
+            Governed::Completed(r) => {
+                finished = Some(r);
+                break;
+            }
+            Governed::Exhausted { reason, partial } => {
+                assert_eq!(reason, ExhaustionReason::Steps);
+                let partial = partial.expect("realization always carries a partial");
+                let decided = assert_exact_individuals(&partial, &expected, &abox);
+                starved_with_individuals |= decided > 0;
+            }
+            Governed::Cancelled { .. } => panic!("nothing cancels this run"),
+        }
+    }
+    assert_eq!(
+        finished.expect("escalating budgets complete within 64 legs"),
+        expected
+    );
+    assert!(
+        starved_with_individuals,
+        "some starved leg published realized individuals"
+    );
+}
+
+/// A reasoner whose classification was interrupted stays sound: the
+/// same `Tableau` then classifies to the baseline hierarchy, so an
+/// interrupt leaves no half-decided state in its caches.
+#[test]
+fn an_interrupted_reasoner_answers_like_a_fresh_one() {
+    let (voc, tbox, _) = generate::random_el(14, 3, 20, 0x5A7E);
+    let expected = baseline(&tbox, &voc);
+    let mut reasoner = Tableau::new(&tbox, &voc);
+    let (starved, _) =
+        classify_enhanced_governed(&mut reasoner, &tbox, &Budget::new().with_steps(150));
+    assert!(!starved.is_completed(), "a small budget interrupts the run");
+    let (again, _) = classify_enhanced_governed(&mut reasoner, &tbox, &Budget::unlimited());
+    assert_eq!(again.expect_completed("unlimited re-run"), expected);
+}
+
 // ---------------------------------------------------------------------
 // Continuation: interrupted EL work is kept, not redone or warped
 // ---------------------------------------------------------------------
@@ -207,6 +416,41 @@ fn el_saturation_resumes_to_the_same_fixpoint() {
     );
     starved.saturate();
     assert_eq!(starved.current_named_subsumers(&atoms), expected);
+}
+
+/// Continuation holds across many interrupts, not just one: driving
+/// one classifier through repeated starved `saturate_metered` calls
+/// only ever grows its subsumer sets, each stays a sound
+/// under-approximation, and the last call lands on the uninterrupted
+/// fixpoint.
+#[test]
+fn el_saturation_continues_across_repeated_interrupts() {
+    let (voc, tbox, atoms) = generate::random_el(30, 3, 60, 0xE2);
+    let mut full = ElClassifier::new(&tbox, &voc).expect("generated TBox is EL");
+    full.saturate();
+    let expected = full.current_named_subsumers(&atoms);
+
+    let mut el = ElClassifier::new(&tbox, &voc).expect("generated TBox is EL");
+    let mut before = el.current_named_subsumers(&atoms);
+    let mut interrupts = 0;
+    // Each call replays the kept facts before deriving new ones, so
+    // the per-call budget escalates to guarantee progress.
+    for leg in 1..=200u64 {
+        let mut meter = Budget::new().with_steps(30 * leg).meter();
+        let done = el.saturate_metered(&mut meter).is_ok();
+        let now = el.current_named_subsumers(&atoms);
+        for (c, set) in &now {
+            assert!(before[c].is_subset(set), "leg {leg} lost a proved subsumer");
+            assert!(set.is_subset(&expected[c]), "leg {leg} proved an unsound subsumer");
+        }
+        before = now;
+        if done {
+            break;
+        }
+        interrupts += 1;
+    }
+    assert!(interrupts >= 2, "the budgets interrupt saturation repeatedly");
+    assert_eq!(before, expected);
 }
 
 // ---------------------------------------------------------------------
